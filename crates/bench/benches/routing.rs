@@ -8,10 +8,11 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use srt_bench::tiny_context;
 use srt_core::routing::baseline::ExpectedTimeBaseline;
 use srt_core::routing::{
-    BoundMode, BudgetRouter, DominanceMode, EngineBuilder, RouterConfig,
+    BatchExecutor, BoundMode, BudgetRouter, DominanceMode, EngineBuilder, RouterConfig,
 };
 use srt_core::{CombinePolicy, HybridCost};
 use srt_synth::{DistanceCategory, Query, QueryGenerator};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn queries_for(cat: DistanceCategory, n: usize) -> Vec<Query> {
@@ -240,13 +241,16 @@ fn bench_engine_throughput(c: &mut Criterion) {
         })
     });
 
-    // Engine, one worker: same search, warm bounds cache + reused scratch.
-    let engine = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .build();
-    engine.route_batch(&batch, 1); // warm the cache outside the timing loop
+    // Engine, one lane: same search, warm bounds cache + reused scratch.
+    let engine = Arc::new(
+        EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build(),
+    );
+    let one_lane = BatchExecutor::new(Arc::clone(&engine), 1);
+    one_lane.execute(batch.clone()); // warm the cache outside the timing loop
     g.bench_with_input(BenchmarkId::from_parameter("batch_seq_warm"), &batch, |b, qs| {
-        b.iter(|| black_box(engine.route_batch(qs, 1)))
+        b.iter(|| black_box(one_lane.execute(qs.clone())))
     });
 
     // The pooled-vs-unpooled pair: identical search, identical warm
@@ -280,9 +284,10 @@ fn bench_engine_throughput(c: &mut Criterion) {
         },
     );
 
-    // Engine, worker pool at the machine's parallelism.
+    // Engine, persistent lanes at the machine's parallelism.
+    let all_lanes = BatchExecutor::new(Arc::clone(&engine), 0);
     g.bench_with_input(BenchmarkId::from_parameter("batch_par_warm"), &batch, |b, qs| {
-        b.iter(|| black_box(engine.route_batch(qs, 0)))
+        b.iter(|| black_box(all_lanes.execute(qs.clone())))
     });
 
     // Cold bounds cache: every iteration pays the reverse Dijkstra per
@@ -291,7 +296,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::from_parameter("batch_seq_cold"), &batch, |b, qs| {
         b.iter(|| {
             engine.clear_bounds_cache();
-            black_box(engine.route_batch(qs, 1))
+            black_box(one_lane.execute(qs.clone()))
         })
     });
     g.finish();

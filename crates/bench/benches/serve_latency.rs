@@ -3,40 +3,32 @@
 //!
 //! Not a criterion bench: the quantities under test are the
 //! client-observed latency distribution (p50/p99/p999) and the accepted
-//! throughput of a real server, measured across the **two serving
-//! machineries** behind the same wire protocol:
+//! throughput of a real server — nonblocking connection loop,
+//! request-granular dispatch queue, micro-batched engine calls — in
+//! three regimes:
 //!
-//! * **legacy** (`max_batch 1`) — thread-per-worker connection
-//!   dispatch with a bounded connection queue,
-//! * **batched** (`max_batch 8`) — the continuous-batching planes:
-//!   nonblocking connection loop, request-granular dispatch queue,
-//!   micro-batched engine calls.
-//!
-//! Each machinery runs the same two regimes: **uncontended** (as many
-//! closed-loop clients as workers; pure connect + service time) and
-//! **2× overload** (twice the server's holding capacity in closed-loop
-//! clients; the bounded queue sheds the excess with immediate `503`s).
-//! The committed `batching` block then certifies the continuous-batching
-//! contract on this machine:
-//!
-//! * accepted throughput at 2× overload ≥ **1.3×** the legacy path's
-//!   (request-granular admission wastes no accepted work on connection
-//!   churn and refuses excess without burning a thread per refusal),
-//! * uncontended p50 within **10%** of the legacy single-request path
-//!   (the inline-when-idle fast path: a lone client pays no
-//!   cross-thread handoff), and
-//! * a parked keep-alive fleet (1000 connections) holds **without
+//! * **uncontended** — as many closed-loop clients as executor lanes
+//!   (pure connect + service time); nothing may be shed,
+//! * **2× overload** — twice the server's holding capacity in
+//!   closed-loop clients; the bounded dispatch queue sheds the excess
+//!   with immediate, clean `503`s (never resets),
+//! * **parked keep-alive fleet** (1000 connections) — held **without
 //!   thread-per-connection** while new traffic stays fast behind it.
 //!
-//! Both machineries double-check bitwise parity between HTTP answers
-//! and direct `RoutingEngine::route` calls, and the final `/metrics`
-//! scrape (batched server) is committed alongside the client-observed
-//! numbers — including the new `srt_serve_batch_size` histogram,
-//! `srt_serve_pipelined_total` and `srt_serve_inflight_requests`
-//! families, with the requests-total/histogram coherence asserted on
-//! the scraped page itself. Output is one JSON document on stdout
-//! (committed as `BENCH_serve.json`); `--test` runs a fast smoke with
-//! the assertions that are meaningful at tiny sample sizes.
+//! The run double-checks bitwise parity between HTTP answers and direct
+//! `RoutingEngine::route` calls, and the final `/metrics` scrape is
+//! reported alongside the client-observed numbers — including the
+//! `srt_serve_batch_size` histogram, `srt_serve_pipelined_total` and
+//! `srt_serve_inflight_requests` families, with the
+//! requests-total/histogram coherence asserted on the scraped page
+//! itself. Output is one JSON document on stdout; `--test` runs a fast
+//! smoke at tiny sample sizes.
+//!
+//! The committed `BENCH_serve.json` predates the removal of the
+//! thread-per-worker server: it is kept verbatim as the record of the
+//! last run that had both machineries (its `legacy` block and the two
+//! cross-machinery ratios cannot be measured any more), so this bench's
+//! output no longer has those members.
 
 use srt_bench::tiny_context;
 use srt_core::routing::{EngineBuilder, Query, RoutingEngine};
@@ -51,14 +43,13 @@ use std::time::{Duration, Instant};
 
 // Sized for the smallest CI box (1 core): the quantity under test is
 // queueing/dispatch behavior, not scheduler contention between bench
-// threads. Identical knobs for both machineries keep the comparison
-// honest — same worker count, same queue capacity, same offered load.
+// threads.
 const WORKERS: usize = 1;
 const QUEUE_CAPACITY: usize = 1;
 const MAX_BATCH: usize = 8;
 /// How long a shed client waits before retrying — the backoff the 503
 /// body asks for. Without it the refusals themselves become a retry
-/// storm that starves the workers.
+/// storm that starves the lanes.
 const SHED_BACKOFF: Duration = Duration::from_millis(1);
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -158,7 +149,7 @@ fn phase_json(name: &str, p: &PhaseOutcome) -> String {
 }
 
 /// Bitwise parity spot-check: HTTP answers equal direct engine answers.
-fn check_parity(addr: SocketAddr, engine: &RoutingEngine, queries: &[Query], what: &str) {
+fn check_parity(addr: SocketAddr, engine: &RoutingEngine, queries: &[Query]) {
     let mut conn = Client::connect(addr).expect("parity connect");
     for (i, q) in queries.iter().enumerate() {
         let reference = engine.route(q).expect("bench queries are valid");
@@ -169,7 +160,7 @@ fn check_parity(addr: SocketAddr, engine: &RoutingEngine, queries: &[Query], wha
         let resp = conn
             .request("POST", "/route", Some(&body))
             .expect("parity request");
-        assert_eq!(resp.status, 200, "{what}: parity query {i}");
+        assert_eq!(resp.status, 200, "parity query {i}");
         let doc = json::parse(&resp.text()).expect("parity JSON");
         let served = doc
             .get("probability")
@@ -178,27 +169,26 @@ fn check_parity(addr: SocketAddr, engine: &RoutingEngine, queries: &[Query], wha
         assert_eq!(
             served.to_bits(),
             reference.probability.to_bits(),
-            "{what}: query {i}: HTTP answer drifted from the in-process engine"
+            "query {i}: HTTP answer drifted from the in-process engine"
         );
     }
 }
 
-/// Runs the uncontended + 2× overload regimes against one server.
+/// Runs the uncontended + 2× overload regimes against the server.
 fn run_regimes(
     addr: SocketAddr,
     queries: &[Query],
     per_client: usize,
-    what: &str,
 ) -> (PhaseOutcome, PhaseOutcome) {
     // Warm the engine's pools and bounds cache out of the measurement.
     drive(addr, queries, WORKERS, 10);
     let uncontended = drive(addr, queries, WORKERS, per_client);
-    assert_eq!(uncontended.shed, 0, "{what}: uncontended traffic must not shed");
-    assert_eq!(uncontended.errors, 0, "{what}: uncontended traffic must not error");
+    assert_eq!(uncontended.shed, 0, "uncontended traffic must not shed");
+    assert_eq!(uncontended.errors, 0, "uncontended traffic must not error");
 
     let overload_clients = 2 * (WORKERS + QUEUE_CAPACITY);
     let overload = drive(addr, queries, overload_clients, per_client);
-    assert_eq!(overload.errors, 0, "{what}: shedding must be clean 503s, not resets");
+    assert_eq!(overload.errors, 0, "shedding must be clean 503s, not resets");
     (uncontended, overload)
 }
 
@@ -301,14 +291,14 @@ fn idle_fleet(engine: &Arc<RoutingEngine>, queries: &[Query], connections: usize
     }
 }
 
-fn start_server(engine: &Arc<RoutingEngine>, max_batch: usize) -> Server {
+fn start_server(engine: &Arc<RoutingEngine>) -> Server {
     Server::start(
         Arc::clone(engine),
         "127.0.0.1:0",
         ServerConfig {
             workers: WORKERS,
             queue_capacity: QUEUE_CAPACITY,
-            max_batch,
+            max_batch: MAX_BATCH,
             read_timeout: Some(Duration::from_secs(10)),
             ..ServerConfig::default()
         },
@@ -336,39 +326,13 @@ fn main() {
         .collect();
     assert!(!queries.is_empty(), "fixture produced no queries");
 
-    // ── Machinery 1: the legacy connection-granular path. ──
-    let legacy = start_server(&engine, 1);
-    check_parity(legacy.local_addr(), &engine, &queries, "legacy");
-    let (legacy_unc, legacy_over) =
-        run_regimes(legacy.local_addr(), &queries, per_client, "legacy");
-    assert!(
-        legacy_over.shed > 0,
-        "2x overload must trip the legacy bounded queue into shedding"
-    );
-    let report = legacy.shutdown();
-    assert_eq!(report.in_flight_after_drain, 0);
+    let server = start_server(&engine);
+    let addr = server.local_addr();
+    check_parity(addr, &engine, &queries);
+    let (uncontended, overload) = run_regimes(addr, &queries, per_client);
 
-    // The legacy admission contract, unchanged: accepted requests never
-    // pay unbounded queueing delay. (Skipped at smoke sample sizes,
-    // where p99 is a single noisy order statistic.)
-    let p99_unc = percentile(&legacy_unc.latencies_s, 0.99);
-    let p99_over = percentile(&legacy_over.latencies_s, 0.99);
-    if !smoke {
-        assert!(
-            p99_over <= 3.0 * p99_unc,
-            "legacy accepted p99 under overload ({p99_over:.6}s) exceeds 3x uncontended \
-             ({p99_unc:.6}s): the queue is smearing latency instead of shedding"
-        );
-    }
-
-    // ── Machinery 2: the continuous-batching planes, same knobs. ──
-    let batched = start_server(&engine, MAX_BATCH);
-    let addr = batched.local_addr();
-    check_parity(addr, &engine, &queries, "batched");
-    let (batched_unc, batched_over) = run_regimes(addr, &queries, per_client, "batched");
-
-    // A pipelined burst on one connection, so the committed scrape
-    // carries real samples in the new metric families. Against a
+    // A pipelined burst on one connection, so the scrape carries real
+    // samples in the batching metric families. Against a
     // capacity-1 dispatch queue most of the burst sheds — request-
     // granular 503s on a connection that stays usable.
     let mut burst_shed: u64 = 0;
@@ -400,9 +364,8 @@ fn main() {
         }
     }
 
-    // Scrape the batched server's own view before shutdown: what an
-    // operator's Prometheus would have seen, including the families
-    // this serving mode introduced.
+    // Scrape the server's own view before shutdown: what an operator's
+    // Prometheus would have seen.
     let page = Client::connect(addr)
         .and_then(|mut c| c.request_closing("GET", "/metrics", None))
         .expect("metrics scrape")
@@ -431,42 +394,14 @@ fn main() {
     );
     assert_eq!(
         served_shed as u64,
-        batched_over.shed + burst_shed,
+        overload.shed + burst_shed,
         "server-side shed counter disagrees with client-observed 503s"
     );
     assert!(batch_size_count > 0.0, "no batches were observed");
     assert!(pipelined_total > 0.0, "the burst must register as pipelined");
 
-    let report = batched.shutdown();
+    let report = server.shutdown();
     assert_eq!(report.in_flight_after_drain, 0);
-
-    // ── The continuous-batching contract. ──
-    let throughput_ratio = if legacy_over.accepted_per_s() > 0.0 {
-        batched_over.accepted_per_s() / legacy_over.accepted_per_s()
-    } else {
-        0.0
-    };
-    let legacy_p50 = percentile(&legacy_unc.latencies_s, 0.50);
-    let batched_p50 = percentile(&batched_unc.latencies_s, 0.50);
-    let p50_ratio = if legacy_p50 > 0.0 {
-        batched_p50 / legacy_p50
-    } else {
-        0.0
-    };
-    if !smoke {
-        assert!(
-            throughput_ratio >= 1.3,
-            "batched accepted throughput at 2x overload is only {throughput_ratio:.3}x the \
-             legacy path ({:.0}/s vs {:.0}/s) — the continuous-batching contract requires 1.3x",
-            batched_over.accepted_per_s(),
-            legacy_over.accepted_per_s()
-        );
-        assert!(
-            p50_ratio <= 1.1,
-            "batched uncontended p50 ({batched_p50:.6}s) regressed past 10% of the legacy \
-             single-request path ({legacy_p50:.6}s)"
-        );
-    }
 
     // ── The parked keep-alive fleet. ──
     let fleet = idle_fleet(&engine, &queries, fleet_size);
@@ -478,27 +413,21 @@ fn main() {
 
     println!(
         "{{\n  \"bench\": \"serve_latency\",\n  \"mode\": \"{}\",\n  \"workers\": {WORKERS},\n  \
-         \"queue_capacity\": {QUEUE_CAPACITY},\n  \"overload_clients\": {},\n  \
-         \"legacy\": {{\n    \"max_batch\": 1,\n{},\n{}\n  }},\n  \
-         \"batched\": {{\n    \"max_batch\": {MAX_BATCH},\n    \"batch_window_us\": 0,\n{},\n{}\n  }},\n  \
-         \"batching\": {{\n    \"accepted_throughput_ratio_at_2x\": {:?},\n    \
-         \"uncontended_p50_ratio\": {:?},\n    \
-         \"idle_keepalive\": {{\n      \"connections\": {},\n      \"threads_before\": {},\n      \
-         \"threads_after\": {},\n      \"p50_behind_fleet_s\": {:?}\n    }}\n  }},\n  \
+         \"queue_capacity\": {QUEUE_CAPACITY},\n  \"max_batch\": {MAX_BATCH},\n  \
+         \"batch_window_us\": 0,\n  \"overload_clients\": {},\n  \
+         \"regimes\": {{\n{},\n{}\n  }},\n  \
+         \"idle_keepalive\": {{\n    \"connections\": {},\n    \"threads_before\": {},\n    \
+         \"threads_after\": {},\n    \"p50_behind_fleet_s\": {:?}\n  }},\n  \
          \"server_metrics\": {{\n    \"srt_serve_requests_total\": {},\n    \
          \"srt_serve_shed_total\": {},\n    \"srt_serve_request_seconds_count\": {},\n    \
          \"srt_serve_request_seconds_sum\": {:?},\n    \"srt_serve_batch_size_count\": {},\n    \
          \"srt_serve_batch_size_sum\": {},\n    \"srt_serve_pipelined_total\": {},\n    \
          \"srt_serve_inflight_requests\": {},\n    \"srt_engine_epoch\": {}\n  }},\n  \
-         \"parity\": \"bitwise-identical to in-process RoutingEngine::route (both machineries)\"\n}}",
+         \"parity\": \"bitwise-identical to in-process RoutingEngine::route\"\n}}",
         if smoke { "smoke" } else { "full" },
         2 * (WORKERS + QUEUE_CAPACITY),
-        phase_json("uncontended", &legacy_unc),
-        phase_json("overload_2x", &legacy_over),
-        phase_json("uncontended", &batched_unc),
-        phase_json("overload_2x", &batched_over),
-        throughput_ratio,
-        p50_ratio,
+        phase_json("uncontended", &uncontended),
+        phase_json("overload_2x", &overload),
         fleet.connections,
         fleet.threads_before,
         fleet.threads_after,

@@ -4,7 +4,7 @@
 //! # The model checker
 //!
 //! The workspace's concurrent cores (the stats seqlock, the epoch
-//! swap, the bounds-cache LRU, the admission queue) are written against
+//! swap, the bounds-cache LRU, the dispatch queue) are written against
 //! [`sync`], which re-exports `std::sync` types in normal builds and
 //! the scheduled shims in [`shim`] under `--cfg srt_check`. Under the
 //! shims, every atomic/lock operation yields to a cooperative

@@ -138,7 +138,7 @@ pub struct RouteResult {
 /// | `BudgetRouter::with_certificate(&cost, cfg, Some(c))` | `EngineBuilder::new(cost.clone()).config(cfg).certificate(c).build()` |
 /// | `router.route(s, t, b, None)`                   | `engine.route(&Query::new(s, t, b))?`                       |
 /// | `router.route(s, t, b, Some(x))`                | `engine.route(&Query::new(s, t, b).with_deadline(x))?`      |
-/// | hand-rolled `thread::scope` over queries        | `engine.route_batch(&queries, parallelism)`                 |
+/// | hand-rolled `thread::scope` over queries        | `BatchExecutor::new(engine, lanes).execute(queries)`        |
 /// | (bounds recomputed per call)                    | cached per target; `engine.stats().bounds_cache_hits`       |
 ///
 /// (`Query` is [`crate::routing::Query`].) Behavioural differences of
@@ -225,8 +225,8 @@ impl BudgetRouter {
     /// `stats.completed` is `false`.
     ///
     /// Prefer [`RoutingEngine::route`] /
-    /// [`RoutingEngine::route_batch`] — see the migration table on
-    /// [`BudgetRouter`].
+    /// [`BatchExecutor::execute`](crate::routing::BatchExecutor::execute)
+    /// — see the migration table on [`BudgetRouter`].
     pub fn route(
         &self,
         source: NodeId,

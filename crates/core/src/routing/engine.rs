@@ -32,10 +32,10 @@
 //!   up front into [`EngineError`] instead of the legacy silent
 //!   degenerate-result paths.
 //!
-//! [`RoutingEngine::route_batch`] serves a slice of queries on a worker
-//! pool (scoped threads, work stealing, deterministic output order);
+//! [`BatchExecutor`] serves a batch of queries on persistent lanes (work
+//! stealing, deterministic output order, one epoch pin per batch);
 //! results are bitwise-identical to sequential routing regardless of the
-//! worker count.
+//! lane count.
 //!
 //! # Memory model
 //!
@@ -62,7 +62,7 @@
 //!   is warm (the allocation-accounting regression test in
 //!   `tests/pool_accounting.rs` asserts exactly this).
 //! * **Contexts themselves are pooled.** [`RoutingEngine::route`] and
-//!   [`RoutingEngine::route_batch`] draw their [`SearchContext`]s from
+//!   [`BatchExecutor::execute`] draw their [`SearchContext`]s from
 //!   an engine-level free list, so repeated batches reuse warm label
 //!   arenas and histogram pools. Callers holding their own context
 //!   ([`RoutingEngine::route_with`]) get the same behaviour with full
@@ -92,7 +92,7 @@
 //! [`StatsSnapshot::epoch`].
 //!
 //! ```no_run
-//! use srt_core::routing::{EngineBuilder, Query, RouterConfig};
+//! use srt_core::routing::{BatchExecutor, EngineBuilder, Query, RouterConfig};
 //! use srt_core::{CombinePolicy, HybridCost};
 //! # let world = srt_synth::SyntheticWorld::build(srt_synth::WorldConfig::tiny());
 //! # let (model, _) = srt_core::model::training::train_hybrid(
@@ -101,7 +101,8 @@
 //! let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
 //! let engine = EngineBuilder::new(cost).config(RouterConfig::default()).build();
 //! let queries = vec![Query::new(srt_graph::NodeId(0), srt_graph::NodeId(9), 120.0)];
-//! for result in engine.route_batch(&queries, 0) {
+//! let executor = BatchExecutor::new(std::sync::Arc::new(engine), 0);
+//! for result in executor.execute(queries) {
 //!     println!("P(on time) = {:.3}", result.unwrap().probability);
 //! }
 //! ```
@@ -246,7 +247,7 @@ impl std::error::Error for EngineError {}
 pub struct StatsSnapshot {
     /// Queries routed (valid ones; rejected queries are not counted).
     pub queries: u64,
-    /// [`RoutingEngine::route_batch`] invocations.
+    /// [`BatchExecutor::execute`] invocations.
     pub batches: u64,
     /// Bounds-cache hits: queries whose target's reverse Dijkstra was
     /// already cached.
@@ -588,7 +589,7 @@ impl EngineBuilder {
     /// mid-search (after seeding, with pooled label payloads live in the
     /// arena) whenever it routes exactly `source -> target`. This is how
     /// the containment contract of [`EngineError::Internal`] is proven
-    /// end to end — from `route_batch` isolation down to the HTTP 500 a
+    /// end to end — from batch-mate isolation down to the HTTP 500 a
     /// server renders — without waiting for a real engine bug.
     #[doc(hidden)]
     pub fn panic_on_query(mut self, source: NodeId, target: NodeId) -> Self {
@@ -816,7 +817,7 @@ pub struct RoutingEngine {
     bound: BoundPolicy,
     bounds_cache_capacity: usize,
     /// Free list of warm [`SearchContext`]s serving
-    /// [`RoutingEngine::route`] / [`RoutingEngine::route_batch`].
+    /// [`RoutingEngine::route`] / [`BatchExecutor::execute`].
     contexts: Mutex<Vec<SearchContext>>,
     counters: EngineStats,
     /// Fault injection (test support): panic while routing this exact
@@ -1144,96 +1145,6 @@ impl RoutingEngine {
                 Err(EngineError::Internal)
             }
         }
-    }
-
-    /// Routes `queries` on a pool of `parallelism` workers (`0` = the
-    /// machine's available parallelism), each with its own
-    /// [`SearchContext`]. Work is stolen off a shared index so skewed
-    /// query costs balance; results are returned in input order and are
-    /// bitwise-identical regardless of the worker count.
-    pub fn route_batch(
-        &self,
-        queries: &[Query],
-        parallelism: usize,
-    ) -> Vec<Result<RouteResult, EngineError>> {
-        self.counters.batches.fetch_add(1, AtomicOrdering::Relaxed);
-        let workers = if parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            parallelism
-        }
-        .min(queries.len().max(1));
-
-        if workers <= 1 {
-            let mut ctx = self.checkout_context();
-            let results = queries
-                .iter()
-                .map(|q| {
-                    let r = self.route_with(q, &mut ctx);
-                    if matches!(r, Err(EngineError::Internal)) {
-                        // Contain the panic to this query: discard the
-                        // mid-state context, swap in a fresh one, and
-                        // keep serving the batch.
-                        ctx = SearchContext::new();
-                    }
-                    r
-                })
-                .collect();
-            self.checkin_context(ctx);
-            return results;
-        }
-
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<RouteResult, EngineError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut ctx = self.checkout_context();
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
-                            let r = self.route_with(&queries[i], &mut ctx);
-                            if matches!(r, Err(EngineError::Internal)) {
-                                // One panicking query must not abort the
-                                // worker (let alone the batch): drop the
-                                // mid-state context and keep stealing.
-                                ctx = SearchContext::new();
-                            }
-                            local.push((i, r));
-                        }
-                        self.checkin_context(ctx);
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // `route_with` catches query panics, so a worker dying is
-                // a harness-level fault (e.g. allocation failure). Its
-                // claimed-but-unreported queries degrade to
-                // `EngineError::Internal` below instead of cascading.
-                if let Ok(local) = handle.join() {
-                    for (i, r) in local {
-                        results[i] = Some(r);
-                    }
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    self.counters.panics.fetch_add(1, AtomicOrdering::Relaxed);
-                    Err(EngineError::Internal)
-                })
-            })
-            .collect()
     }
 
     /// The per-target bounds of `epoch`, from its cache when warm. The
@@ -1881,12 +1792,12 @@ struct ExecShared {
 
 /// A persistent worker pool over one [`RoutingEngine`].
 ///
-/// [`RoutingEngine::route_batch`] spawns scoped threads per call; a
-/// server dispatching micro-batches thousands of times per second wants
-/// the lanes long-lived instead. The executor keeps `lanes - 1` helper
-/// threads parked on a condvar; `execute` publishes the batch, the
-/// caller participates as the remaining lane, and the same shared-index
-/// work stealing as `route_batch` balances skewed query costs. Results
+/// The engine's one batch path. A server dispatching micro-batches
+/// thousands of times per second wants long-lived lanes, not threads
+/// spawned per call: the executor keeps `lanes - 1` helper threads
+/// parked on a condvar; `execute` publishes the batch, the caller
+/// participates as the remaining lane, and work stealing off a shared
+/// index balances skewed query costs. Results
 /// come back in input order and are bitwise-identical to sequential
 /// routing at any lane count. The epoch is pinned **once per batch**:
 /// every query of a batch is answered by the same model generation even
@@ -1981,13 +1892,7 @@ impl BatchExecutor {
             let mut ctx = engine.checkout_context();
             let results = queries
                 .iter()
-                .map(|q| {
-                    let r = engine.route_pinned(&epoch, q, &mut ctx);
-                    if matches!(r, Err(EngineError::Internal)) {
-                        ctx = SearchContext::new();
-                    }
-                    r
-                })
+                .map(|q| Self::route_one(engine, &epoch, q, &mut ctx))
                 .collect();
             engine.checkin_context(ctx);
             return results;
@@ -2042,6 +1947,22 @@ impl BatchExecutor {
             .collect()
     }
 
+    /// One query of a batch, against the batch's pinned epoch. A
+    /// contained panic leaves `ctx` mid-state, so it is replaced: the
+    /// failure stays with that one query and the lane keeps serving.
+    fn route_one(
+        engine: &RoutingEngine,
+        epoch: &ModelEpoch,
+        query: &Query,
+        ctx: &mut SearchContext,
+    ) -> Result<RouteResult, EngineError> {
+        let r = engine.route_pinned(epoch, query, ctx);
+        if matches!(r, Err(EngineError::Internal)) {
+            *ctx = SearchContext::new();
+        }
+        r
+    }
+
     fn run_lane(engine: &RoutingEngine, job: &ExecJob) {
         let mut ctx = engine.checkout_context();
         let len = job.queries.len();
@@ -2050,12 +1971,7 @@ impl BatchExecutor {
             if i >= len {
                 break;
             }
-            let r = engine.route_pinned(&job.epoch, &job.queries[i], &mut ctx);
-            if matches!(r, Err(EngineError::Internal)) {
-                // Contain the panic to this query: fresh context, keep
-                // stealing.
-                ctx = SearchContext::new();
-            }
+            let r = Self::route_one(engine, &job.epoch, &job.queries[i], &mut ctx);
             let mut done = lock_unpoisoned(&job.done);
             done.results[i] = Some(r);
             done.completed += 1;

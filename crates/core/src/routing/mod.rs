@@ -6,7 +6,7 @@
 //! `Send + Sync` [`RoutingEngine`] (built by [`EngineBuilder`]) that
 //! resolves pruning policies and certificates once, caches the
 //! per-target optimistic bounds, and serves typed [`Query`] values —
-//! singly or in worker-pool batches — from reusable [`SearchContext`]
+//! singly or in [`BatchExecutor`] batches — from reusable [`SearchContext`]
 //! scratch; [`budget`] holds the search's configuration/result types and
 //! the deprecated one-shot [`BudgetRouter`] shim; [`policy`] factors the
 //! prunings into composable, individually-certifiable

@@ -11,13 +11,14 @@ pub mod policy;
 pub mod quality;
 pub mod training_size;
 
-use srt_core::routing::{EngineBuilder, RouteResult, RouterConfig};
+use srt_core::routing::{BatchExecutor, EngineBuilder, RouteResult, RouterConfig};
 use srt_core::HybridCost;
 use srt_synth::Query;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Routes a query batch on the routing engine's worker pool, preserving
-/// input order. The engine resolves the configuration (and its
+/// Routes a query batch on a [`BatchExecutor`] over a fresh engine,
+/// preserving input order. The engine resolves the configuration (and its
 /// convolution certificate, when one is needed) once for the whole
 /// batch; per-target optimistic bounds are cached inside it, so repeated
 /// targets within a batch pay for one reverse Dijkstra.
@@ -27,7 +28,7 @@ pub(crate) fn route_queries(
     queries: &[Query],
     deadline: Option<Duration>,
 ) -> Vec<RouteResult> {
-    let engine = EngineBuilder::new(cost.clone()).config(cfg).build();
+    let engine = Arc::new(EngineBuilder::new(cost.clone()).config(cfg).build());
     let batch: Vec<srt_core::routing::Query> = queries
         .iter()
         .map(|q| {
@@ -38,8 +39,8 @@ pub(crate) fn route_queries(
             }
         })
         .collect();
-    engine
-        .route_batch(&batch, 0)
+    BatchExecutor::new(engine, 0)
+        .execute(batch)
         .into_iter()
         .map(|r| r.expect("experiment queries are valid"))
         .collect()

@@ -7,9 +7,8 @@
 //!    HTTP/1.1 pipelining: every complete request in a read buffer is
 //!    parsed, not one per read) and response writeback. A parked
 //!    keep-alive connection costs a slot in the scan, not a thread —
-//!    a thousand idle sockets are a `Vec` walk, where the legacy
-//!    threaded design would pin a worker each.
-//! 2. **Dispatch plane** — parsed requests become [`PendingRequest`]s
+//!    a thousand idle sockets are a `Vec` walk.
+//! 2. **Dispatch plane** — parsed requests become `PendingRequest`s
 //!    in the request-granular [`DispatchQueue`]; a micro-batcher thread
 //!    drains up to `max_batch` of them per engine call (waiting at most
 //!    `batch_window` to top up a partial batch) and submits one
@@ -27,10 +26,10 @@
 //! predecessor on its own connection, the readiness loop routes it
 //! inline on its own thread (still through the executor, so determinism
 //! and stats hold) — a lone client pays no cross-thread handoff, which
-//! is what keeps uncontended p50 at the legacy path's level. Under load
-//! the inline condition is never true and batching does its work.
+//! is what keeps uncontended p50 at the cost of the search itself. Under
+//! load the inline condition is never true and batching does its work.
 //!
-//! Graceful drain keeps the PR 7 contract at request granularity: every
+//! Graceful drain is lossless at request granularity: every
 //! *admitted* request (one that entered the dispatch queue, or resolved
 //! inline) is answered and flushed before the loop exits; only
 //! connections owing nothing are closed summarily.
@@ -40,13 +39,13 @@ use crate::http::{parse_buffered, write_response, Response};
 use crate::json::protocol_error_body;
 use crate::metrics::ServeMetrics;
 use crate::server::ServerConfig;
-use srt_core::routing::{BatchExecutor, RoutingEngine};
+use srt_core::routing::BatchExecutor;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Per-pass cap on bytes read from one connection, so a single firehose
@@ -65,20 +64,31 @@ const IDLE_SLEEP_MAX: Duration = Duration::from_millis(2);
 /// Write-stall fallback when the config carries no read timeout.
 const DEFAULT_STALL: Duration = Duration::from_secs(5);
 
-/// What the connection plane shares with the batcher.
-struct Shared {
-    queue: DispatchQueue<PendingRequest>,
+/// What the connection plane shares with the batcher and the
+/// [`crate::server::Server`] handle.
+pub(crate) struct Shared {
+    pub(crate) queue: DispatchQueue<PendingRequest>,
     /// Finished work on its way back to connections; the readiness loop
     /// drains this every pass.
     completions: Mutex<Vec<Completion>>,
     /// Wakes the readiness loop out of its idle sleep when completions
     /// (or shutdown) arrive.
-    io_wake: Condvar,
-    draining: AtomicBool,
-    metrics: Arc<ServeMetrics>,
+    pub(crate) io_wake: Condvar,
+    pub(crate) draining: AtomicBool,
+    pub(crate) metrics: ServeMetrics,
 }
 
 impl Shared {
+    pub(crate) fn new(queue_capacity: usize) -> Shared {
+        Shared {
+            queue: DispatchQueue::new(queue_capacity),
+            completions: Mutex::new(Vec::new()),
+            io_wake: Condvar::new(),
+            draining: AtomicBool::new(false),
+            metrics: ServeMetrics::new(),
+        }
+    }
+
     fn push_completions(&self, mut batch: Vec<Completion>) {
         let mut parked = self
             .completions
@@ -90,120 +100,14 @@ impl Shared {
     }
 }
 
-/// Counters the readiness loop reports back through shutdown.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct IoReport {
-    pub connections_served: u64,
-}
-
-/// The running batched server: the readiness loop, the batcher thread
-/// and the persistent engine lanes (dropped with the executor when the
-/// batcher exits).
-pub(crate) struct BatchedState {
-    shared: Arc<Shared>,
-    io_thread: Option<JoinHandle<IoReport>>,
-    batcher: Option<JoinHandle<()>>,
-    addr: SocketAddr,
-}
-
-impl BatchedState {
-    pub(crate) fn start(
-        engine: Arc<RoutingEngine>,
-        listener: TcpListener,
-        metrics: Arc<ServeMetrics>,
-        config: &ServerConfig,
-    ) -> io::Result<BatchedState> {
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            queue: DispatchQueue::new(config.queue_capacity),
-            completions: Mutex::new(Vec::new()),
-            io_wake: Condvar::new(),
-            draining: AtomicBool::new(false),
-            metrics: Arc::clone(&metrics),
-        });
-        let executor = Arc::new(BatchExecutor::new(
-            Arc::clone(&engine),
-            config.resolved_workers(),
-        ));
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            let executor = Arc::clone(&executor);
-            let engine = Arc::clone(&engine);
-            let model_path = config.model_path.clone();
-            let max_batch = config.max_batch.max(1);
-            let window = config.batch_window;
-            thread::Builder::new()
-                .name("srt-serve-batcher".into())
-                .spawn(move || {
-                    batcher_loop(
-                        &shared,
-                        &executor,
-                        &engine,
-                        model_path.as_deref(),
-                        max_batch,
-                        window,
-                    )
-                })?
-        };
-
-        let io_thread = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            thread::Builder::new()
-                .name("srt-serve-io".into())
-                .spawn(move || io_loop(listener, engine, executor, shared, config))?
-        };
-
-        Ok(BatchedState {
-            shared,
-            io_thread: Some(io_thread),
-            batcher: Some(batcher),
-            addr,
-        })
-    }
-
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    pub(crate) fn shutdown(&mut self) -> IoReport {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // The loop may be in its idle sleep; both wakeups are cheap and
-        // the self-connect also covers a loop blocked in nothing at all
-        // (it shows up as an accept and is dropped under drain).
-        self.shared.io_wake.notify_one();
-        let _ = TcpStream::connect(self.addr);
-        let report = self
-            .io_thread
-            .take()
-            .and_then(|t| t.join().ok())
-            .unwrap_or_default();
-        // The readiness loop closed the queue when it observed the
-        // drain; closing again is idempotent and covers the it-never-ran
-        // case, so the batcher's exit is unconditional.
-        self.shared.queue.close();
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
-        report
-    }
-
-    pub(crate) fn is_running(&self) -> bool {
-        self.io_thread.is_some() || self.batcher.is_some()
-    }
-}
-
 /// The micro-batcher: drains the dispatch queue, coalesces up to
 /// `max_batch` requests per engine submission, and ships completions
 /// back to the response plane. Exits once the queue is closed *and*
 /// drained — and a batch already popped when shutdown lands (the
 /// non-empty window) is still executed and answered, never dropped.
-fn batcher_loop(
+pub(crate) fn batcher_loop(
     shared: &Shared,
     executor: &BatchExecutor,
-    engine: &RoutingEngine,
     model_path: Option<&std::path::Path>,
     max_batch: usize,
     window: Duration,
@@ -217,7 +121,7 @@ fn batcher_loop(
             thread::sleep(window);
             shared.queue.try_drain_into(&mut batch, max_batch);
         }
-        let completions = execute_batch(batch, executor, engine, model_path, &shared.metrics);
+        let completions = execute_batch(batch, executor, model_path, &shared.metrics);
         shared.push_completions(completions);
     }
 }
@@ -230,7 +134,6 @@ fn batcher_loop(
 fn execute_batch(
     batch: Vec<PendingRequest>,
     executor: &BatchExecutor,
-    engine: &RoutingEngine,
     model_path: Option<&std::path::Path>,
     metrics: &ServeMetrics,
 ) -> Vec<Completion> {
@@ -254,17 +157,8 @@ fn execute_batch(
         .into_iter()
         .zip(responses)
         .map(|(item, prebuilt)| {
-            let mut response = match prebuilt {
-                Some(r) => r,
-                None => match &item.work {
-                    EngineWork::Route(_) => unreachable!("routes were answered above"),
-                    EngineWork::Batch {
-                        queries,
-                        parallelism,
-                    } => crate::handlers::respond_batch(&engine.route_batch(queries, *parallelism)),
-                    EngineWork::Reload => crate::handlers::reload(engine, model_path),
-                },
-            };
+            let mut response =
+                prebuilt.unwrap_or_else(|| execute_work(item.work, executor, model_path));
             response.close |= item.close_after;
             Completion {
                 conn: item.conn,
@@ -276,24 +170,23 @@ fn execute_batch(
         .collect()
 }
 
-/// Executes one work item inline (the uncontended fast path of the
-/// readiness loop — same executor, same render helpers, same bytes).
+/// Executes one work item on the server's one executor — the batcher's
+/// arm for everything that is not a coalesced `/route`, and the
+/// readiness loop's uncontended fast path (same executor, same render
+/// helpers, same bytes). A `/route_batch` is one submission: its
+/// queries share the persistent lanes and one epoch pin.
 fn execute_work(
-    work: &EngineWork,
+    work: EngineWork,
     executor: &BatchExecutor,
-    engine: &RoutingEngine,
     model_path: Option<&std::path::Path>,
 ) -> Response {
     match work {
         EngineWork::Route(q) => {
-            let results = executor.execute(vec![*q]);
+            let results = executor.execute(vec![q]);
             crate::handlers::respond_route(&results[0])
         }
-        EngineWork::Batch {
-            queries,
-            parallelism,
-        } => crate::handlers::respond_batch(&engine.route_batch(queries, *parallelism)),
-        EngineWork::Reload => crate::handlers::reload(engine, model_path),
+        EngineWork::Batch(queries) => crate::handlers::respond_batch(&executor.execute(queries)),
+        EngineWork::Reload => crate::handlers::reload(executor.engine(), model_path),
     }
 }
 
@@ -333,12 +226,13 @@ impl Conn {
     }
 }
 
-/// The connection slab plus the counters it reports at exit.
+/// The connection slab plus the counter it reports at exit.
 struct IoPlane {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_generation: u64,
-    report: IoReport,
+    /// Connections answered at least once that have since closed.
+    connections_served: u64,
 }
 
 impl IoPlane {
@@ -379,7 +273,7 @@ impl IoPlane {
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             if conn.served_any {
-                self.report.connections_served += 1;
+                self.connections_served += 1;
             }
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             self.free.push(slot);
@@ -389,20 +283,20 @@ impl IoPlane {
 
 /// The readiness loop: accept, read/parse/admit, assemble, flush —
 /// then yield or sleep according to how recently anything happened.
-fn io_loop(
+pub(crate) fn io_loop(
     listener: TcpListener,
-    engine: Arc<RoutingEngine>,
     executor: Arc<BatchExecutor>,
     shared: Arc<Shared>,
     config: ServerConfig,
-) -> IoReport {
+) -> u64 {
+    let engine = executor.engine();
     let metrics = &shared.metrics;
     let stall = config.read_timeout.unwrap_or(DEFAULT_STALL);
     let mut plane = IoPlane {
         conns: Vec::new(),
         free: Vec::new(),
         next_generation: 0,
-        report: IoReport::default(),
+        connections_served: 0,
     };
     let mut arrived: Vec<Completion> = Vec::new();
     let mut queue_closed = false;
@@ -542,7 +436,7 @@ fn io_loop(
                                 conn.reads_done = true;
                             }
                             match crate::handlers::classify_request(
-                                &engine,
+                                engine,
                                 metrics,
                                 shared.queue.len(),
                                 &req,
@@ -572,9 +466,8 @@ fn io_loop(
                                         // batch-size histogram hold.
                                         metrics.batch_size.observe(1);
                                         let mut resp = execute_work(
-                                            &work,
+                                            work,
                                             &executor,
-                                            &engine,
                                             config.model_path.as_deref(),
                                         );
                                         resp.close |= close_after;
@@ -729,7 +622,7 @@ fn io_loop(
                 for slot in 0..plane.conns.len() {
                     plane.close(slot);
                 }
-                return plane.report;
+                return plane.connections_served;
             }
         }
 

@@ -9,11 +9,11 @@
 //! Without `--smoke`, trains the tiny synthetic fixture world, starts
 //! the server, and serves until the process is killed; `--model PATH`
 //! names the snapshot file `POST /reload` re-reads for zero-downtime
-//! hot swaps (without it `/reload` answers `409`). `--max-batch`
-//! selects the serving machinery: `1` is the legacy thread-per-worker
-//! connection path, anything larger (the binary's default is 8) runs
-//! the continuous-batching planes — nonblocking connection loop,
-//! request-granular dispatch, micro-batched engine calls.
+//! hot swaps (without it `/reload` answers `409`). There is one serving
+//! machinery — nonblocking connection loop, request-granular dispatch,
+//! micro-batched engine calls on `--workers` executor lanes;
+//! `--max-batch` (default 8) caps how many `/route` requests share one
+//! engine call, `1` meaning batches of one through the same planes.
 //! `--batch-window` (microseconds, default 0) lets the batcher wait to
 //! top up a partial batch, trading a bounded slice of latency for
 //! larger batches. With `--smoke`,
@@ -146,11 +146,7 @@ fn main() -> ExitCode {
     };
 
     if args.smoke {
-        eprintln!(
-            "srt_serve --smoke: {} mode (max_batch {})",
-            if args.max_batch > 1 { "batched" } else { "legacy" },
-            args.max_batch
-        );
+        eprintln!("srt_serve --smoke: max_batch {}", args.max_batch);
         return match smoke(engine, world, model, config) {
             Ok(()) => {
                 println!("srt_serve --smoke: all checks passed");

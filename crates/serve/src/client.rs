@@ -69,9 +69,9 @@ impl Client {
     }
 
     /// Like [`Client::request`], but announces `Connection: close` so
-    /// the server releases its worker at write time instead of parking
-    /// on this connection's EOF — what a connect-per-request driver
-    /// should send.
+    /// the server closes the connection at write time instead of parking
+    /// it until EOF or the idle deadline — what a connect-per-request
+    /// driver should send.
     pub fn request_closing(
         &mut self,
         method: &str,

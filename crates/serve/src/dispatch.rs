@@ -1,29 +1,29 @@
 //! The request-granular dispatch queue behind continuous batching.
 //!
-//! The legacy admission queue ([`crate::queue::BoundedQueue`]) holds
-//! whole connections; this one holds *parsed requests*. The connection
-//! plane pushes [`PendingRequest`]s with [`DispatchQueue::try_push`]
-//! (full queue ⇒ the caller sheds that one request with a `503` and the
-//! connection survives); the micro-batcher blocks in
+//! The server's one admission queue, holding *parsed requests* rather
+//! than connections. The connection plane pushes `PendingRequest`s
+//! with [`DispatchQueue::try_push`] (full queue ⇒ the caller sheds that
+//! one request with a `503` and the connection survives); the
+//! micro-batcher blocks in
 //! [`DispatchQueue::pop_batch`], which drains up to `max` ready
 //! requests in one lock acquisition — the heart of dynamic
 //! micro-batching: under load, batches grow to whatever has queued
 //! while the engine was busy; uncontended, a lone request pops
 //! immediately with no artificial wait.
 //!
-//! Shutdown keeps the PR 7 contract at request granularity:
+//! Shutdown is lossless at request granularity:
 //! [`DispatchQueue::close`] stops admission but everything already
 //! admitted remains poppable; `pop_batch` returns `None` only once the
 //! queue is closed *and* empty, so the batcher drains every admitted
 //! request before exiting — and a batch it has already popped (a
 //! non-empty window) is always executed, never dropped.
 //!
-//! Like the connection queue, the whole machine is written against
-//! `srt_core::sync::sys` (plain `std::sync` in normal builds) with no
-//! timed waits, so the `srt-check` dispatch suite proves losslessness
-//! and the batch-size bound under every interleaving at the preemption
-//! bound. Time — the optional `--batch-window` top-up wait — lives in
-//! the batcher loop (`crate::batched`), outside the modeled core.
+//! The whole machine is written against `srt_core::sync::sys` (plain
+//! `std::sync` in normal builds) with no timed waits, so the `srt-check`
+//! dispatch suite proves losslessness and the batch-size bound under
+//! every interleaving at the preemption bound. Time — the optional
+//! `--batch-window` top-up wait — lives in the batcher loop
+//! (`crate::batched`), outside the modeled core.
 
 use crate::http::Response;
 use srt_core::routing::Query;
@@ -148,10 +148,7 @@ pub(crate) struct ConnToken {
 /// the connection plane answers them inline.
 pub(crate) enum EngineWork {
     Route(Query),
-    Batch {
-        queries: Vec<Query>,
-        parallelism: usize,
-    },
+    Batch(Vec<Query>),
     Reload,
 }
 
@@ -201,6 +198,12 @@ mod tests {
         assert_eq!(q.try_push(3), Err(3), "admission past capacity");
         assert_eq!(q.pop_batch(16).unwrap(), vec![1, 2]);
         q.try_push(3).unwrap();
+
+        // Capacity zero clamps to one slot, not a queue that sheds all.
+        let q = DispatchQueue::new(0);
+        assert_eq!(q.capacity(), 1);
+        q.try_push(1).unwrap();
+        assert_eq!(q.try_push(2), Err(2));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! on a server started without a model path, `500` for a contained
 //! search panic (`EngineError::Internal`) or a reload I/O failure,
 //! `404`/`405` for unknown paths and methods. Load shedding (`503`)
-//! never reaches this module — it is decided at admission, before a
-//! worker ever parses the request.
+//! never reaches this module — it is decided at admission, by the
+//! connection plane.
 
 use crate::dispatch::EngineWork;
 use crate::http::{Request, Response};
@@ -20,18 +20,14 @@ use crate::metrics::ServeMetrics;
 use srt_core::routing::{EngineError, Query, RouteResult, RoutingEngine};
 use std::path::Path;
 
-/// Hard cap on `route_batch` fan-out per request: the serving layer's
-/// parallelism budget belongs to the worker pool, not to any single
-/// client's `parallelism` member.
-pub const MAX_BATCH_PARALLELISM: usize = 8;
-/// Hard cap on queries per `route_batch` request.
+/// Hard cap on queries per `/route_batch` request.
 pub const MAX_BATCH_QUERIES: usize = 10_000;
 
-/// Routes one parsed request to its handler, executing engine work
-/// synchronously — the legacy connection-granular path. The batched
-/// planes share every parse and render step through
-/// [`classify_request`] and the `respond_*` helpers, so the bytes on
-/// the wire are identical whichever plane served them.
+/// Answers one parsed request synchronously on the calling thread, with
+/// no executor: classify, then run the work here, a batch being its
+/// queries routed in order. The planes share every parse and render
+/// step through `classify_request` and the `respond_*` helpers, so
+/// these are the bytes the server puts on the wire.
 pub fn handle_request(
     engine: &RoutingEngine,
     metrics: &ServeMetrics,
@@ -42,10 +38,10 @@ pub fn handle_request(
     match classify_request(engine, metrics, queue_depth, req) {
         Err(resp) => resp,
         Ok(EngineWork::Route(query)) => respond_route(&engine.route(&query)),
-        Ok(EngineWork::Batch {
-            queries,
-            parallelism,
-        }) => respond_batch(&engine.route_batch(&queries, parallelism)),
+        Ok(EngineWork::Batch(queries)) => {
+            let results: Vec<_> = queries.iter().map(|q| engine.route(q)).collect();
+            respond_batch(&results)
+        }
         Ok(EngineWork::Reload) => reload(engine, model_path),
     }
 }
@@ -89,8 +85,8 @@ pub(crate) fn classify_request(
     }
 }
 
-/// Renders one `/route` outcome — shared by the legacy path and the
-/// batcher, so batched responses stay bitwise-identical.
+/// Renders one `/route` outcome — shared by [`handle_request`] and the
+/// planes, so a response's bytes do not depend on how it was batched.
 pub(crate) fn respond_route(result: &Result<RouteResult, EngineError>) -> Response {
     match result {
         Ok(result) => Response::json(200, route_result_to_json(result)),
@@ -195,7 +191,10 @@ fn parse_route(body: &[u8]) -> Result<Query, Response> {
         .map_err(|msg| Response::json(400, protocol_error_body("bad_request", &msg)))
 }
 
-/// `POST /route_batch`: `{"queries":[...], "parallelism": n?}`.
+/// `POST /route_batch`: `{"queries":[...], "parallelism": n?}`. The
+/// `"parallelism"` member is accepted and type-checked for clients that
+/// still send it, but chooses nothing: every batch runs on the server's
+/// executor lanes.
 fn parse_route_batch(body: &[u8]) -> Result<EngineWork, Response> {
     let doc = parse_body(body)?;
     let raw_queries = match doc.get("queries").and_then(|q| q.as_arr()) {
@@ -216,21 +215,18 @@ fn parse_route_batch(body: &[u8]) -> Result<EngineWork, Response> {
             ),
         ));
     }
-    let parallelism = match doc.get("parallelism") {
-        None => 1,
-        Some(raw) => match raw.as_u64() {
-            Some(p) => (p as usize).clamp(1, MAX_BATCH_PARALLELISM),
-            None => {
-                return Err(Response::json(
-                    400,
-                    protocol_error_body(
-                        "bad_request",
-                        "\"parallelism\" must be an unsigned integer",
-                    ),
-                ))
-            }
-        },
-    };
+    if doc
+        .get("parallelism")
+        .is_some_and(|raw| raw.as_u64().is_none())
+    {
+        return Err(Response::json(
+            400,
+            protocol_error_body(
+                "bad_request",
+                "\"parallelism\" must be an unsigned integer",
+            ),
+        ));
+    }
     let mut queries: Vec<Query> = Vec::with_capacity(raw_queries.len());
     for (i, raw) in raw_queries.iter().enumerate() {
         match query_from_json(raw) {
@@ -243,8 +239,5 @@ fn parse_route_batch(body: &[u8]) -> Result<EngineWork, Response> {
             }
         }
     }
-    Ok(EngineWork::Batch {
-        queries,
-        parallelism,
-    })
+    Ok(EngineWork::Batch(queries))
 }

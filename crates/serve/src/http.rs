@@ -7,7 +7,7 @@
 //! error, never undefined behaviour): chunked transfer encoding (`501`),
 //! bodies without a length (`411`), oversized headers or bodies (`431`
 //! / `413`). The parser trusts nothing: every limit is enforced while
-//! reading, so a hostile peer cannot make a worker allocate unboundedly.
+//! reading, so a hostile peer cannot make the server allocate unboundedly.
 
 use std::io::{self, BufRead, Read, Write};
 

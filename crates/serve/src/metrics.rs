@@ -12,7 +12,7 @@
 //!
 //! `srt_serve_requests_total` and the `srt_serve_request_seconds`
 //! histogram are updated together inside one
-//! [`SeqLock`](srt_core::sync::SeqLock) write section, and the page
+//! [`SeqLock`] write section, and the page
 //! render runs as a seqlock read — so a scrape can never observe a
 //! request counted in one but not the other. (The committed
 //! `BENCH_serve.json` once showed `requests_total 1248` against
@@ -179,10 +179,11 @@ impl Default for BatchHistogram {
 /// The server's own counters (the engine keeps its own in
 /// [`srt_core::routing::EngineStats`]).
 pub struct ServeMetrics {
-    /// Connections admitted to the worker queue.
+    /// Connections registered with the connection plane.
     pub accepted_total: AtomicU64,
-    /// Connections refused with `503` because the queue was full or the
-    /// server was draining.
+    /// Refusals with `503`: requests that found the dispatch queue full
+    /// (or draining), plus connections turned away at the connection
+    /// limit.
     pub shed_total: AtomicU64,
     /// HTTP requests answered (a keep-alive connection can contribute
     /// many). Bumped together with the latency histogram under
@@ -192,13 +193,10 @@ pub struct ServeMetrics {
     pub responses_2xx: AtomicU64,
     pub responses_4xx: AtomicU64,
     pub responses_5xx: AtomicU64,
-    /// Requests currently being handled by a worker (gauge).
-    pub in_flight: AtomicU64,
     /// End-to-end handler latency (parse-complete to response-written).
     pub latency: LatencyHistogram,
     /// Requests admitted to the dispatch queue and not yet answered
-    /// (gauge; batched mode only — the legacy path has no dispatch
-    /// queue).
+    /// (gauge).
     pub inflight_requests: AtomicU64,
     /// Requests that arrived pipelined: parsed off a connection that
     /// already had an unanswered request in flight.
@@ -219,7 +217,6 @@ impl ServeMetrics {
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
             responses_5xx: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             inflight_requests: AtomicU64::new(0),
             pipelined_total: AtomicU64::new(0),
@@ -276,13 +273,13 @@ impl ServeMetrics {
         counter(
             &mut out,
             "srt_serve_accepted_total",
-            "Connections admitted to the worker queue.",
+            "Connections registered with the connection plane.",
             load(&self.accepted_total),
         );
         counter(
             &mut out,
             "srt_serve_shed_total",
-            "Connections refused with 503 at admission (queue full or draining).",
+            "Requests shed with 503 (dispatch queue full or draining) plus connections refused at the connection limit.",
             load(&self.shed_total),
         );
         counter(
@@ -317,12 +314,6 @@ impl ServeMetrics {
         );
         gauge(
             &mut out,
-            "srt_serve_in_flight",
-            "Requests currently being handled by a worker.",
-            load(&self.in_flight),
-        );
-        gauge(
-            &mut out,
             "srt_serve_inflight_requests",
             "Requests admitted to the dispatch queue and not yet answered.",
             load(&self.inflight_requests),
@@ -330,7 +321,7 @@ impl ServeMetrics {
         gauge(
             &mut out,
             "srt_serve_queue_depth",
-            "Connections waiting in the admission queue.",
+            "Requests waiting in the dispatch queue.",
             queue_depth as u64,
         );
         let _ = writeln!(
@@ -353,7 +344,7 @@ impl ServeMetrics {
         counter(
             &mut out,
             "srt_engine_batches_total",
-            "route_batch invocations.",
+            "Batches submitted to the executor.",
             engine.batches,
         );
         counter(

@@ -1,81 +1,73 @@
-//! The server proper: one acceptor thread, a bounded admission queue,
-//! and a fixed pool of worker threads over blocking `std::net` sockets.
+//! The server handle: configuration, start-up and the graceful drain
+//! around the three planes in [`crate::batched`].
 //!
-//! The control flow is the whole design:
-//!
-//! 1. The acceptor takes connections off `TcpListener::accept` and
-//!    offers each to the [`BoundedQueue`]. A full (or draining) queue
-//!    hands the connection back and the acceptor **sheds** it — an
-//!    immediate `503` and a close — so overload degrades into fast
-//!    refusals instead of an unbounded backlog smearing tail latency
-//!    over every queued request.
-//! 2. Each worker blocks in [`BoundedQueue::pop`], then serves its
-//!    connection's keep-alive session to completion: parse, dispatch
-//!    through [`crate::handlers::handle_request`], respond, repeat.
-//! 3. [`Server::shutdown`] drains: the flag flips, the acceptor is
-//!    woken by a self-connect and exits, the queue closes (admitting
-//!    nothing, surrendering everything already queued), and workers
-//!    finish every admitted connection before joining. Admitted work is
-//!    never dropped.
+//! [`Server::start`] binds the listener and spawns the two serving
+//! threads — the readiness loop (connection and response planes) and the
+//! micro-batcher (dispatch plane), which owns the engine's persistent
+//! [`BatchExecutor`] lanes. [`Server::shutdown`] drains: the flag flips,
+//! the readiness loop stops admitting and closes the dispatch queue, the
+//! batcher executes everything already admitted, every owed response is
+//! flushed, and both threads join. Admitted work is never dropped.
 
-use crate::http::{read_request, write_response, RequestError, Response};
-use crate::json::protocol_error_body;
+use crate::batched::{batcher_loop, io_loop, Shared};
 use crate::metrics::ServeMetrics;
-use crate::queue::BoundedQueue;
-use srt_core::routing::RoutingEngine;
-use std::io::{self, BufReader, Read};
+use srt_core::routing::{BatchExecutor, RoutingEngine};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Serving knobs. The defaults suit the integration tests and the tiny
 /// fixture worlds; a real deployment sizes `workers` to cores and
-/// `queue_capacity` to its latency budget (each queued connection waits
-/// a full service time — the cap **is** the tail-latency contract).
+/// `queue_capacity` to its latency budget (each queued request waits
+/// for the batches ahead of it — the cap **is** the tail-latency
+/// contract).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads (`0` = available parallelism, capped at 8).
+    /// Lanes of the engine's [`BatchExecutor`] (`0` = available
+    /// parallelism, capped at 8). The batcher thread is one of them;
+    /// `workers - 1` helper threads are spawned at start.
     pub workers: usize,
-    /// Admission-queue capacity; connection number `capacity + workers + 1`
-    /// is the first to be shed.
+    /// Dispatch-queue capacity in *requests*. A request that finds the
+    /// queue full is answered `503` on the spot; its connection — and
+    /// any pipelined neighbours — lives on.
     pub queue_capacity: usize,
-    /// Per-read socket timeout while a connection's *first* request is
-    /// awaited (and for every body/write deadline). A connection that
-    /// stays silent this long is closed.
+    /// How long a connection may sit silent before its *first* request
+    /// completes, or stalled part-way through any request, before the
+    /// readiness scan closes it. Also the write-stall deadline: a peer
+    /// that stops reading while bytes are owed to it is dropped after
+    /// this long. No thread waits on either — they are deadlines the
+    /// scan checks.
     pub read_timeout: Option<Duration>,
-    /// Read deadline for *parked* keep-alive connections — applied after
-    /// the first response is written. A served connection holds a worker
-    /// while it waits for its next request; without this deadline a
-    /// client that simply stops sending (but keeps the socket open) pins
-    /// that worker forever, and `workers` parked clients brown out the
-    /// whole pool. Kept separate from `read_timeout` because the right
-    /// values differ: generous for a first request still in flight,
-    /// tight for a connection that has already been served once and is
-    /// merely idle. `None` disables reaping (trusted peers only).
+    /// Scan deadline for *parked* keep-alive connections — ones that
+    /// have been answered at least once, owe nothing and have sent
+    /// nothing since. A parked connection costs a slot in the scan, not
+    /// a thread, so this bounds file descriptors and
+    /// [`ServerConfig::max_connections`] slots, not serving capacity.
+    /// Kept separate from `read_timeout` because the right values
+    /// differ: generous for a first request still in flight, tight for
+    /// a connection that is merely idle. `None` disables reaping
+    /// (trusted peers only).
     pub idle_timeout: Option<Duration>,
     /// Filesystem path `POST /reload` re-reads for a new model snapshot.
     /// Fixed at server start (never client-supplied — a reload endpoint
     /// accepting paths or bytes from the wire would be an
     /// arbitrary-model-injection hole). `None` disables `/reload` (409).
     pub model_path: Option<std::path::PathBuf>,
-    /// Requests coalesced per engine call. `1` (the default) selects the
-    /// legacy connection-granular path above; any larger value selects
-    /// the continuous-batching planes in [`crate::batched`]: a
-    /// nonblocking readiness loop, a request-granular dispatch queue of
-    /// `queue_capacity` requests, and a persistent
-    /// [`srt_core::routing::BatchExecutor`] with `workers` lanes.
+    /// Cap on `/route` requests the batcher coalesces into one executor
+    /// submission (clamped to ≥ 1). `1` serves batches of one through
+    /// the same planes.
     pub max_batch: usize,
-    /// How long the batcher waits to top up a partial micro-batch
-    /// (batched mode only). Zero — the default — is natural continuous
-    /// batching: serve whatever has queued, immediately; uncontended
-    /// latency never pays an artificial wait.
+    /// How long the batcher waits to top up a partial micro-batch. Zero
+    /// — the default — is natural continuous batching: serve whatever
+    /// has queued, immediately; uncontended latency never pays an
+    /// artificial wait.
     pub batch_window: Duration,
-    /// Cap on concurrently registered connections in batched mode
-    /// (beyond it, new connections are refused with a best-effort `503`
-    /// and a close). The legacy path bounds connections by
-    /// `queue_capacity + workers` instead.
+    /// Cap on concurrently registered connections; beyond it a new
+    /// connection is refused with a best-effort `503` and a close — the
+    /// only connection-granular refusal the server makes.
     pub max_connections: usize,
 }
 
@@ -87,7 +79,7 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(5)),
             idle_timeout: Some(Duration::from_secs(2)),
             model_path: None,
-            max_batch: 1,
+            max_batch: 8,
             batch_window: Duration::ZERO,
             max_connections: 4096,
         }
@@ -95,7 +87,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    pub(crate) fn resolved_workers(&self) -> usize {
+    fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
         } else {
@@ -110,30 +102,30 @@ impl ServerConfig {
 /// What the graceful drain observed; returned by [`Server::shutdown`].
 #[derive(Clone, Copy, Debug)]
 pub struct DrainReport {
-    /// Connections fully served across the server's lifetime.
+    /// Connections that were answered at least once and have since
+    /// closed, across the server's lifetime.
     pub connections_served: u64,
-    /// Connections refused with `503` across the lifetime.
+    /// Refusals across the lifetime: request-granular `503`s (dispatch
+    /// queue full or draining) plus connections turned away at
+    /// [`ServerConfig::max_connections`].
     pub connections_shed: u64,
-    /// Requests still being handled when the drain finished — zero by
-    /// construction (workers join only after finishing their work);
-    /// reported so callers can assert it.
+    /// Requests admitted to the dispatch queue and still unanswered when
+    /// the drain finished — zero by construction (the readiness loop
+    /// exits only once it reaches zero); reported so callers can assert
+    /// it.
     pub in_flight_after_drain: u64,
 }
 
-/// A running HTTP front-end over one shared [`RoutingEngine`]. With
-/// [`ServerConfig::max_batch`] `> 1` the threaded acceptor/worker
-/// machinery below is replaced wholesale by the continuous-batching
-/// planes in [`crate::batched`]; the public surface (and the wire
-/// bytes) are identical either way.
+/// A running HTTP front-end over one shared [`RoutingEngine`]: the
+/// readiness loop, the batcher thread and the persistent engine lanes
+/// (dropped with the executor when both threads have exited).
 pub struct Server {
     engine: Arc<RoutingEngine>,
-    metrics: Arc<ServeMetrics>,
-    queue: Arc<BoundedQueue<TcpStream>>,
-    draining: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<u64>>,
-    batched: Option<crate::batched::BatchedState>,
+    /// Returns the lifetime count of served connections when joined.
+    io_thread: Option<JoinHandle<u64>>,
+    batcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -146,78 +138,39 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let metrics = Arc::new(ServeMetrics::new());
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let draining = Arc::new(AtomicBool::new(false));
+        listener.set_nonblocking(true)?;
+        let shared = Arc::new(Shared::new(config.queue_capacity));
+        let executor = Arc::new(BatchExecutor::new(
+            Arc::clone(&engine),
+            config.resolved_workers(),
+        ));
 
-        if config.max_batch > 1 {
-            let batched = crate::batched::BatchedState::start(
-                Arc::clone(&engine),
-                listener,
-                Arc::clone(&metrics),
-                &config,
-            )?;
-            return Ok(Server {
-                engine,
-                metrics,
-                queue,
-                draining,
-                addr,
-                acceptor: None,
-                workers: Vec::new(),
-                batched: Some(batched),
-            });
-        }
-
-        let acceptor = {
-            let metrics = Arc::clone(&metrics);
-            let queue = Arc::clone(&queue);
-            let draining = Arc::clone(&draining);
+        let batcher = {
+            let shared = Arc::clone(&shared);
+            let executor = Arc::clone(&executor);
+            let model_path = config.model_path.clone();
+            let max_batch = config.max_batch.max(1);
+            let window = config.batch_window;
             thread::Builder::new()
-                .name("srt-serve-accept".into())
-                .spawn(move || accept_loop(listener, queue, metrics, draining))?
+                .name("srt-serve-batcher".into())
+                .spawn(move || {
+                    batcher_loop(&shared, &executor, model_path.as_deref(), max_batch, window)
+                })?
         };
 
-        let workers = (0..config.resolved_workers())
-            .map(|i| {
-                let engine = Arc::clone(&engine);
-                let metrics = Arc::clone(&metrics);
-                let queue = Arc::clone(&queue);
-                let draining = Arc::clone(&draining);
-                let read_timeout = config.read_timeout;
-                let idle_timeout = config.idle_timeout;
-                let model_path = config.model_path.clone();
-                thread::Builder::new()
-                    .name(format!("srt-serve-worker-{i}"))
-                    .spawn(move || {
-                        let mut served = 0u64;
-                        while let Some(stream) = queue.pop() {
-                            serve_connection(
-                                stream,
-                                &engine,
-                                &metrics,
-                                &queue,
-                                &draining,
-                                read_timeout,
-                                idle_timeout,
-                                model_path.as_deref(),
-                            );
-                            served += 1;
-                        }
-                        served
-                    })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
+        let io_thread = {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name("srt-serve-io".into())
+                .spawn(move || io_loop(listener, executor, shared, config))?
+        };
 
         Ok(Server {
             engine,
-            metrics,
-            queue,
-            draining,
+            shared,
             addr,
-            acceptor: Some(acceptor),
-            workers,
-            batched: None,
+            io_thread: Some(io_thread),
+            batcher: Some(batcher),
         })
     }
 
@@ -228,7 +181,7 @@ impl Server {
 
     /// The live server counters.
     pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// The engine being served.
@@ -236,227 +189,50 @@ impl Server {
         &self.engine
     }
 
-    /// Work currently queued: connections waiting for a worker (legacy
-    /// path) or requests waiting for the batcher (batched mode).
+    /// Requests currently waiting for the batcher.
     pub fn queue_depth(&self) -> usize {
-        match &self.batched {
-            Some(b) => b.queue_depth(),
-            None => self.queue.len(),
-        }
+        self.shared.queue.len()
     }
 
-    /// Graceful drain: stop accepting, finish every admitted
-    /// connection, join all threads. Idempotent via `Drop` (dropping an
+    /// Graceful drain: stop admitting, answer and flush every admitted
+    /// request, join both threads. Idempotent via `Drop` (dropping an
     /// un-shut-down server performs the same drain, minus the report).
     pub fn shutdown(mut self) -> DrainReport {
         self.shutdown_inner()
     }
 
     fn shutdown_inner(&mut self) -> DrainReport {
-        if let Some(batched) = self.batched.as_mut() {
-            let report = batched.shutdown();
-            return DrainReport {
-                connections_served: report.connections_served,
-                connections_shed: self.metrics.shed_total.load(Ordering::Relaxed),
-                // Batched mode tracks in-flight at request granularity;
-                // the drain exits only once it reaches zero.
-                in_flight_after_drain: self.metrics.inflight_requests.load(Ordering::Relaxed),
-            };
+        self.shared.draining.store(true, Ordering::SeqCst);
+        // The loop may be in its idle sleep; both wakeups are cheap and
+        // the self-connect also covers a loop blocked in nothing at all
+        // (it shows up as an accept and is dropped under drain).
+        self.shared.io_wake.notify_one();
+        let _ = TcpStream::connect(self.addr);
+        let connections_served = self
+            .io_thread
+            .take()
+            .and_then(|t| t.join().ok())
+            .unwrap_or_default();
+        // The readiness loop closed the queue when it observed the
+        // drain; closing again is idempotent and covers the it-never-ran
+        // case, so the batcher's exit is unconditional.
+        self.shared.queue.close();
+        if let Some(b) = self.batcher.take() {
+            let _ = b.join();
         }
-        self.draining.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            // The acceptor blocks in accept(); a throwaway self-connect
-            // wakes it so it can observe the flag and exit.
-            let _ = TcpStream::connect(self.addr);
-            let _ = acceptor.join();
-        }
-        // Close only after the acceptor is gone: nothing new can be
-        // offered, everything already admitted is drained by workers.
-        self.queue.close();
-        let mut connections_served = 0u64;
-        for w in self.workers.drain(..) {
-            connections_served += w.join().unwrap_or(0);
-        }
+        let metrics = &self.shared.metrics;
         DrainReport {
             connections_served,
-            connections_shed: self.metrics.shed_total.load(Ordering::Relaxed),
-            in_flight_after_drain: self.metrics.in_flight.load(Ordering::Relaxed),
+            connections_shed: metrics.shed_total.load(Ordering::Relaxed),
+            in_flight_after_drain: metrics.inflight_requests.load(Ordering::Relaxed),
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let batched_running = self.batched.as_ref().is_some_and(|b| b.is_running());
-        if self.acceptor.is_some() || !self.workers.is_empty() || batched_running {
+        if self.io_thread.is_some() || self.batcher.is_some() {
             self.shutdown_inner();
-        }
-    }
-}
-
-/// Cap on concurrent shed-courtesy threads; refusals past it skip the
-/// polite `503` and just close (see [`shed`]).
-const MAX_CONCURRENT_SHEDS: u64 = 64;
-
-fn accept_loop(
-    listener: TcpListener,
-    queue: Arc<BoundedQueue<TcpStream>>,
-    metrics: Arc<ServeMetrics>,
-    draining: Arc<AtomicBool>,
-) {
-    let sheds_in_flight = Arc::new(AtomicU64::new(0));
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Persistent accept failure (EMFILE under FD exhaustion
-                // is the canonical overload case) must not spin the
-                // acceptor at 100% CPU; back off briefly before retrying.
-                thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        if draining.load(Ordering::SeqCst) {
-            // The shutdown self-connect (or a raced client); just drop —
-            // the listener closes with this thread.
-            return;
-        }
-        match queue.try_push(stream) {
-            Ok(()) => {
-                metrics.accepted_total.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(stream) => {
-                metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-                metrics.record_response(503);
-                // Shed off the acceptor thread: the courtesy read in
-                // `shed` can stall up to its timeout on a slow peer,
-                // and overload is exactly when accept must stay fast.
-                // Past the thread cap the refusal degrades to a bare
-                // close — still bounded, still immediate.
-                let gauge = Arc::clone(&sheds_in_flight);
-                if gauge.fetch_add(1, Ordering::AcqRel) < MAX_CONCURRENT_SHEDS {
-                    let spawned = thread::Builder::new()
-                        .name("srt-serve-shed".into())
-                        .spawn(move || {
-                            shed(stream);
-                            gauge.fetch_sub(1, Ordering::AcqRel);
-                        });
-                    if let Err(_e) = spawned {
-                        sheds_in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                } else {
-                    gauge.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-        }
-    }
-}
-
-/// Refuses one connection with an immediate `503`. The pending request
-/// is read best-effort first (tiny buffer, millisecond timeout): closing
-/// with unread data makes the kernel RST the socket, which would destroy
-/// the very response telling the client to back off.
-fn shed(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
-    // Bound the refusal write too: a shed thread must never outlive a
-    // peer that refuses to read its 503.
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut sink = [0u8; 4096];
-    loop {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) if n < sink.len() => break,
-            Ok(_) => continue,
-        }
-    }
-    let resp = Response::json(
-        503,
-        protocol_error_body(
-            "overloaded",
-            "admission queue full; the request was shed — retry with backoff",
-        ),
-    )
-    .closing();
-    let _ = write_response(&mut stream, &resp);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// Serves one connection's keep-alive session to completion.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: TcpStream,
-    engine: &RoutingEngine,
-    metrics: &ServeMetrics,
-    queue: &BoundedQueue<TcpStream>,
-    draining: &AtomicBool,
-    read_timeout: Option<Duration>,
-    idle_timeout: Option<Duration>,
-    model_path: Option<&std::path::Path>,
-) {
-    let _ = stream.set_read_timeout(read_timeout);
-    // Writes get the same deadline: a peer that stops reading would
-    // otherwise block write_response forever on a large body, pinning
-    // this worker (and hanging shutdown's join) permanently. A timed-out
-    // write falls out of write_response as Err and the connection dies.
-    let _ = stream.set_write_timeout(read_timeout);
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut served_one = false;
-    loop {
-        let req = match read_request(&mut reader) {
-            Ok(req) => req,
-            Err(RequestError::Closed) | Err(RequestError::Io(_)) => return,
-            Err(e) => {
-                // Parse failures have a definite status; answer and close
-                // (framing is unrecoverable after a bad head).
-                if let Some(status) = e.status() {
-                    metrics.record_response(status);
-                    let resp =
-                        Response::json(status, protocol_error_body("bad_request", &e.detail()))
-                            .closing();
-                    let _ = write_response(&mut writer, &resp);
-                }
-                return;
-            }
-        };
-        metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let mut resp =
-            crate::handlers::handle_request(engine, metrics, queue.len(), model_path, &req);
-        if req.wants_close() || draining.load(Ordering::SeqCst) {
-            resp.close = true;
-        }
-        let write_ok = write_response(&mut writer, &resp).is_ok();
-        // One seqlock-bracketed record moves the request counter, the
-        // latency histogram and the class counter together: a scrape
-        // rendering concurrently (including the one this very request
-        // may be serving) sees all three or none.
-        metrics.record_request(resp.status, started.elapsed());
-        metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if !write_ok || resp.close {
-            return;
-        }
-        if !served_one {
-            served_one = true;
-            // Reap parked keep-alive connections: from the second request
-            // on, the socket read deadline drops to the idle timeout. A
-            // client that was served and then goes quiet times out, the
-            // read surfaces as `RequestError::Io`, and this worker
-            // returns to the pool instead of being pinned until the peer
-            // deigns to close. (The first request keeps the generous
-            // `read_timeout`: a freshly admitted connection may still be
-            // composing its request — that wait is admission latency, not
-            // idleness.)
-            if let Some(idle) = idle_timeout {
-                let _ = reader.get_ref().set_read_timeout(Some(idle));
-            }
         }
     }
 }

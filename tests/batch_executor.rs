@@ -200,7 +200,7 @@ fn panicking_query_is_contained_within_the_lanes() {
     let healthy = EngineBuilder::new(cost.clone())
         .config(RouterConfig::default())
         .build();
-    let reference = healthy.route_batch(&queries, 1);
+    let reference: Vec<_> = queries.iter().map(|q| healthy.route(q)).collect();
 
     let rigged = Arc::new(
         EngineBuilder::new(cost.clone())

@@ -4,11 +4,12 @@
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::baseline::ExpectedTimeBaseline;
 use stochastic_routing::core::routing::{
-    BoundMode, BudgetRouter, EngineBuilder, Query, RouterConfig,
+    BatchExecutor, BoundMode, BudgetRouter, EngineBuilder, Query, RouterConfig,
 };
 use stochastic_routing::core::{CombinePolicy, HybridCost};
 use stochastic_routing::ml::forest::ForestConfig;
 use stochastic_routing::synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn tiny_training() -> TrainingConfig {
@@ -39,15 +40,20 @@ fn world_to_route_pipeline() {
     );
 
     let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-    let engine = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .build();
+    let executor = BatchExecutor::new(
+        Arc::new(
+            EngineBuilder::new(cost.clone())
+                .config(RouterConfig::default())
+                .build(),
+        ),
+        0,
+    );
     let mut qg = QueryGenerator::new(123);
     let queries = qg.generate(&world.graph, &world.model, DistanceCategory::ZeroToOne, 6);
     assert!(!queries.is_empty());
 
     let batch: Vec<Query> = queries.iter().map(Query::from).collect();
-    let results = engine.route_batch(&batch, 0);
+    let results = executor.execute(batch);
     for (q, r) in queries.iter().zip(results) {
         let r = r.expect("generated queries are valid");
         let path = r.path.expect("target reachable in an SCC world");
@@ -60,7 +66,7 @@ fn world_to_route_pipeline() {
             .expect("baseline exists");
         assert!(r.probability >= base.probability - 1e-9);
     }
-    let stats = engine.stats();
+    let stats = executor.engine().stats();
     assert_eq!(stats.queries, queries.len() as u64);
     assert_eq!(
         stats.bounds_cache_hits + stats.bounds_cache_misses,

@@ -1,7 +1,7 @@
 //! Engine parity + concurrency certification for the query-serving
 //! redesign:
 //!
-//! * **determinism** — `route_batch` across 1/2/8 worker threads returns
+//! * **determinism** — `BatchExecutor` batches across 1/2/8 lanes return
 //!   bitwise-identical `RouteResult`s (probabilities compared by bit
 //!   pattern, paths, distributions and every counter except wall-clock
 //!   `elapsed`) to sequential routing through the deprecated
@@ -21,11 +21,12 @@
 //!   capacity-clamped bounds cache never overshoot the bound at rest and
 //!   never change an answer.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::{
-    BudgetRouter, EngineBuilder, EngineError, Query, RouteResult, RouterConfig, RoutingEngine,
+    BatchExecutor, BudgetRouter, EngineBuilder, EngineError, Query, RouteResult, RouterConfig,
+    RoutingEngine,
 };
 use stochastic_routing::core::{CombinePolicy, HybridCost, HybridModel};
 use stochastic_routing::graph::NodeId;
@@ -103,6 +104,15 @@ fn assert_identical(a: &RouteResult, b: &RouteResult, what: &str) {
     );
 }
 
+/// One batch on a fresh `lanes`-lane executor over `engine`.
+fn execute(
+    engine: &Arc<RoutingEngine>,
+    queries: &[Query],
+    lanes: usize,
+) -> Vec<Result<RouteResult, EngineError>> {
+    BatchExecutor::new(Arc::clone(engine), lanes).execute(queries.to_vec())
+}
+
 #[test]
 fn engine_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -125,10 +135,12 @@ fn route_batch_is_deterministic_across_worker_counts() {
         .collect();
 
     for workers in [1usize, 2, 8] {
-        let engine = EngineBuilder::new(cost.clone())
-            .config(RouterConfig::default())
-            .build();
-        let results = engine.route_batch(&queries, workers);
+        let engine = Arc::new(
+            EngineBuilder::new(cost.clone())
+                .config(RouterConfig::default())
+                .build(),
+        );
+        let results = execute(&engine, &queries, workers);
         assert_eq!(results.len(), queries.len());
         for (i, (r, expected)) in results.iter().zip(&reference).enumerate() {
             let r = r.as_ref().expect("workload queries are valid");
@@ -142,7 +154,7 @@ fn route_batch_is_deterministic_across_worker_counts() {
 
 #[test]
 fn invalid_queries_are_rejected_with_typed_errors() {
-    let engine = EngineBuilder::new(cost()).build();
+    let engine = Arc::new(EngineBuilder::new(cost()).build());
     let n = engine.cost().graph().num_nodes();
     let valid = workload(1)[0];
 
@@ -182,7 +194,7 @@ fn invalid_queries_are_rejected_with_typed_errors() {
 
     // A bad query inside a batch rejects alone; its neighbours route.
     let batch = [valid, bogus, late];
-    let results = engine.route_batch(&batch, 2);
+    let results = execute(&engine, &batch, 2);
     assert!(results[0].is_ok());
     assert!(matches!(
         results[1],
@@ -198,9 +210,11 @@ fn invalid_queries_are_rejected_with_typed_errors() {
 #[test]
 fn warm_bounds_cache_counts_hits_and_preserves_answers() {
     let cost = cost();
-    let engine = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .build();
+    let engine = Arc::new(
+        EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build(),
+    );
     let queries = workload(6);
     let distinct_targets = {
         let mut t: Vec<NodeId> = queries.iter().map(|q| q.target).collect();
@@ -210,7 +224,7 @@ fn warm_bounds_cache_counts_hits_and_preserves_answers() {
     };
 
     // Cold pass: every distinct target misses exactly once.
-    let cold = engine.route_batch(&queries, 1);
+    let cold = execute(&engine, &queries, 1);
     let s1 = engine.stats();
     assert_eq!(s1.bounds_cache_misses, distinct_targets as u64);
     assert_eq!(
@@ -220,7 +234,7 @@ fn warm_bounds_cache_counts_hits_and_preserves_answers() {
     assert_eq!(engine.bounds_cached(), distinct_targets);
 
     // Warm pass: all hits, bitwise-identical answers.
-    let warm = engine.route_batch(&queries, 1);
+    let warm = execute(&engine, &queries, 1);
     let s2 = engine.stats();
     assert_eq!(s2.bounds_cache_misses, s1.bounds_cache_misses, "warm pass recomputed bounds");
     assert_eq!(
@@ -239,7 +253,7 @@ fn warm_bounds_cache_counts_hits_and_preserves_answers() {
     // answers).
     engine.clear_bounds_cache();
     assert_eq!(engine.bounds_cached(), 0);
-    let recold = engine.route_batch(&queries, 1);
+    let recold = execute(&engine, &queries, 1);
     let s3 = engine.stats();
     assert_eq!(
         s3.bounds_cache_misses,
@@ -301,18 +315,22 @@ fn lru_bounded_cache_evicts_but_never_changes_answers() {
     assert!(distinct_targets > 2, "workload needs target diversity");
 
     // Reference: an engine whose cache comfortably holds every target.
-    let unbounded = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .build();
-    let reference = unbounded.route_batch(&queries, 1);
+    let unbounded = Arc::new(
+        EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build(),
+    );
+    let reference = execute(&unbounded, &queries, 1);
     assert_eq!(unbounded.stats().bounds_evictions, 0);
 
     // A capacity of 2 forces evictions on the same workload.
-    let bounded = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .bounds_cache_capacity(2)
-        .build();
-    let results = bounded.route_batch(&queries, 1);
+    let bounded = Arc::new(
+        EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .bounds_cache_capacity(2)
+            .build(),
+    );
+    let results = execute(&bounded, &queries, 1);
     let stats = bounded.stats();
     assert!(bounded.bounds_cached() <= 2, "capacity not enforced");
     assert!(
@@ -333,15 +351,17 @@ fn lru_bounded_cache_evicts_but_never_changes_answers() {
     // evicted targets (the cache is a capacity bound, not a correctness
     // device).
     let miss_before = stats.bounds_cache_misses;
-    bounded.route_batch(&queries, 1);
+    execute(&bounded, &queries, 1);
     assert!(bounded.stats().bounds_cache_misses > miss_before);
 
     // Capacity zero clamps to one instead of disabling the engine.
-    let tiny = EngineBuilder::new(cost)
-        .config(RouterConfig::default())
-        .bounds_cache_capacity(0)
-        .build();
-    let clamped = tiny.route_batch(&queries, 1);
+    let tiny = Arc::new(
+        EngineBuilder::new(cost)
+            .config(RouterConfig::default())
+            .bounds_cache_capacity(0)
+            .build(),
+    );
+    let clamped = execute(&tiny, &queries, 1);
     assert!(tiny.bounds_cached() <= 1);
     for (i, (r, expected)) in clamped.iter().zip(&reference).enumerate() {
         assert_identical(
@@ -449,21 +469,25 @@ fn panicking_query_is_contained_and_engine_stays_serviceable() {
     let victim = queries[2];
 
     // Reference answers from a healthy engine.
-    let healthy = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .build();
-    let reference = healthy.route_batch(&queries, 1);
+    let healthy = Arc::new(
+        EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build(),
+    );
+    let reference = execute(&healthy, &queries, 1);
 
     // A rigged engine panics mid-search on the victim query (fault
     // injection fires after seeding, with pooled payloads live in the
     // arena — realistic wreckage, not a tidy early return).
-    let rigged = EngineBuilder::new(cost.clone())
-        .config(RouterConfig::default())
-        .panic_on_query(victim.source, victim.target)
-        .build();
+    let rigged = Arc::new(
+        EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .panic_on_query(victim.source, victim.target)
+            .build(),
+    );
 
     for workers in [1usize, 4] {
-        let results = rigged.route_batch(&queries, workers);
+        let results = execute(&rigged, &queries, workers);
         for (i, (r, expected)) in results.iter().zip(&reference).enumerate() {
             let q = &queries[i];
             if q.source == victim.source && q.target == victim.target {
@@ -503,11 +527,13 @@ fn poisoned_locks_do_not_take_down_serving() {
     // RwLock used to poison it forever — every later route() call would
     // then panic in checkout_context. The accessors are now
     // poison-tolerant: serving proceeds as if nothing happened.
-    let engine = EngineBuilder::new(cost())
-        .config(RouterConfig::default())
-        .build();
+    let engine = Arc::new(
+        EngineBuilder::new(cost())
+            .config(RouterConfig::default())
+            .build(),
+    );
     let queries = workload(4);
-    let before = engine.route_batch(&queries, 1);
+    let before = execute(&engine, &queries, 1);
 
     engine.poison_locks_for_tests();
 
@@ -516,7 +542,7 @@ fn poisoned_locks_do_not_take_down_serving() {
     let _ = engine.bounds_cached();
     engine.clear_bounds_cache();
     // ...and answers are unchanged.
-    let after = engine.route_batch(&queries, 2);
+    let after = execute(&engine, &queries, 2);
     for (i, (b, a)) in before.iter().zip(&after).enumerate() {
         assert_identical(
             b.as_ref().unwrap(),
@@ -529,7 +555,6 @@ fn poisoned_locks_do_not_take_down_serving() {
 #[test]
 fn stats_snapshot_is_never_torn_by_a_concurrent_rewrite() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     // The engine's own scrape path (`/metrics` calls `stats()`) races a
     // bulk rewrite. Before the seqlock, a scrape could catch `reset`
@@ -602,7 +627,6 @@ fn stats_snapshot_is_never_torn_by_a_concurrent_rewrite() {
 #[test]
 fn contended_bounds_cache_never_overshoots_capacity_or_changes_answers() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     // Many workers, a cache clamped to 2 targets, a workload with far
     // more distinct targets: the old contains_key-then-insert path let
@@ -611,10 +635,15 @@ fn contended_bounds_cache_never_overshoots_capacity_or_changes_answers() {
     // impossible to observe at rest; an observer thread hammers the
     // accessor the whole time.
     let queries = workload(10);
-    let reference = EngineBuilder::new(cost())
-        .config(RouterConfig::default())
-        .build()
-        .route_batch(&queries, 1);
+    let reference = execute(
+        &Arc::new(
+            EngineBuilder::new(cost())
+                .config(RouterConfig::default())
+                .build(),
+        ),
+        &queries,
+        1,
+    );
 
     let engine = Arc::new(
         EngineBuilder::new(cost())
@@ -636,7 +665,7 @@ fn contended_bounds_cache_never_overshoots_capacity_or_changes_answers() {
     };
 
     for round in 0..6 {
-        let results = engine.route_batch(&queries, 8);
+        let results = execute(&engine, &queries, 8);
         for (i, (r, expected)) in results.iter().zip(&reference).enumerate() {
             assert_identical(
                 r.as_ref().unwrap(),

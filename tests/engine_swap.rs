@@ -3,9 +3,10 @@
 //! * **parity** — after `swap_model(B)` every answer is bitwise-identical
 //!   to a fresh engine built over model B (same graph, same marginals);
 //!   swapping back restores model A's answers exactly,
-//! * **linearizability** — `route_batch` racing a storm of swaps never
-//!   produces a hybrid answer: every single result is bitwise-identical
-//!   to *either* the old epoch's answer *or* the new one's, per query,
+//! * **linearizability** — batches racing a storm of swaps never
+//!   straddle one: the epoch is pinned once per batch, so *all* results
+//!   of a batch are bitwise-identical to the old epoch's answers or all
+//!   to the new one's — never a mix, let alone a hybrid answer,
 //! * **isolation** — the bounds cache is epoch-keyed, so a swap can
 //!   never serve `OptimisticBounds` computed under the previous model,
 //! * **rejection** — corrupt snapshots, bins mismatches and non-finite
@@ -20,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 use stochastic_routing::core::model::io as model_io;
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::{
-    EngineBuilder, Query, RouteResult, RouterConfig, RoutingEngine, SwapError,
+    BatchExecutor, EngineBuilder, Query, RouteResult, RouterConfig, RoutingEngine, SwapError,
 };
 use stochastic_routing::core::{CombinePolicy, HybridCost, HybridModel};
 use stochastic_routing::ml::forest::ForestConfig;
@@ -281,18 +282,25 @@ fn routes_racing_swaps_are_linearizable_and_drift_free() {
             let (ref_a, ref_b) = (Arc::clone(&ref_a), Arc::clone(&ref_b));
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let executor = BatchExecutor::new(engine, 1);
                 let mut rounds = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    for (i, r) in engine.route_batch(&queries, 1).iter().enumerate() {
-                        let r = r.as_ref().expect("workload queries stay valid");
-                        // Linearizability: each answer comes wholly from
-                        // one epoch — never a hybrid of two models.
-                        assert!(
-                            identical(r, &ref_a[i]) || identical(r, &ref_b[i]),
-                            "thread {t} round {rounds} query {i}: answer {} matches neither model",
-                            r.probability
-                        );
-                    }
+                    let results: Vec<RouteResult> = executor
+                        .execute(queries.to_vec())
+                        .into_iter()
+                        .map(|r| r.expect("workload queries stay valid"))
+                        .collect();
+                    // Linearizability, batch-wide: the whole batch is
+                    // answered by one epoch — never a hybrid of two
+                    // models, and never some queries on each.
+                    let all_from = |reference: &[RouteResult]| {
+                        results.iter().zip(reference).all(|(r, e)| identical(r, e))
+                    };
+                    assert!(
+                        all_from(&ref_a) || all_from(&ref_b),
+                        "thread {t} round {rounds}: batch {:?} is wholly from neither model",
+                        results.iter().map(|r| r.probability).collect::<Vec<_>>()
+                    );
                     rounds += 1;
                 }
                 rounds

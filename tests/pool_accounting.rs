@@ -5,9 +5,11 @@
 //! the regression gate for "steady-state serving is allocation-free for
 //! label histograms"; it runs in the `routing-soundness` CI job.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
-use stochastic_routing::core::routing::{EngineBuilder, Query, RouteResult, RouterConfig};
+use stochastic_routing::core::routing::{
+    BatchExecutor, EngineBuilder, Query, RouteResult, RouterConfig,
+};
 use stochastic_routing::core::{CombinePolicy, HybridCost, HybridModel};
 use stochastic_routing::ml::forest::ForestConfig;
 use stochastic_routing::synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};
@@ -65,21 +67,27 @@ fn assert_bitwise_identical(a: &RouteResult, b: &RouteResult, what: &str) {
 }
 
 /// The acceptance gate: route the same batch twice through one engine on
-/// one worker; the second pass must mint no new histogram buffers (all
+/// one lane; the second pass must mint no new histogram buffers (all
 /// payload traffic served by pool reuse) and reproduce every answer bit
 /// for bit.
 #[test]
 fn warm_engine_rerouting_a_batch_mints_no_buffers() {
     let (world, model) = fixture();
     let cost = HybridCost::from_ground_truth(world, model, CombinePolicy::Hybrid);
-    let engine = EngineBuilder::new(cost)
-        .config(RouterConfig::default())
-        .build();
+    let executor = BatchExecutor::new(
+        Arc::new(
+            EngineBuilder::new(cost)
+                .config(RouterConfig::default())
+                .build(),
+        ),
+        1,
+    );
+    let engine = executor.engine();
     let queries = workload(8);
 
     // Pass 1 (cold): establishes the pool's high-water mark.
-    let first: Vec<RouteResult> = engine
-        .route_batch(&queries, 1)
+    let first: Vec<RouteResult> = executor
+        .execute(queries.clone())
         .into_iter()
         .map(|r| r.expect("workload queries are valid"))
         .collect();
@@ -88,8 +96,8 @@ fn warm_engine_rerouting_a_batch_mints_no_buffers() {
 
     // Pass 2 (warm): same batch, same single worker — the context (and
     // its histogram pool) comes back from the engine's context pool.
-    let second: Vec<RouteResult> = engine
-        .route_batch(&queries, 1)
+    let second: Vec<RouteResult> = executor
+        .execute(queries.clone())
         .into_iter()
         .map(|r| r.expect("workload queries are valid"))
         .collect();
