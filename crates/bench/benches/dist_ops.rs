@@ -122,7 +122,8 @@ fn bench_divergences(c: &mut Criterion) {
 
 /// Dominance across bin counts: the incremental `CdfScanner` makes the
 /// breakpoint sweep O(na + nb), so the larger rows are where the win
-/// over the historical re-summing (O(na · nb)) shows.
+/// over the historical re-summing (O(na · nb)) shows — except where the
+/// sweep stops early, whose cost should not grow with the bin count.
 fn bench_dominance(c: &mut Criterion) {
     let mut g = c.benchmark_group("dist/dominance");
     for bins in [20usize, 80, 320] {
@@ -138,17 +139,28 @@ fn bench_dominance(c: &mut Criterion) {
             &bins,
             |bch, _| bch.iter(|| dominance::compare(black_box(&x), black_box(&y))),
         );
-        g.bench_with_input(BenchmarkId::new("margin_shifted", bins), &bins, |bch, _| {
-            bch.iter(|| {
-                dominance::dominates_with_margin_shifted_views(
-                    &black_box(&fast).view(),
-                    1.5,
-                    &black_box(&slow).view(),
-                    -1.5,
-                    0.05,
-                )
-            })
-        });
+        // The margin predicate's two regimes. `fast` leads `slow` by a
+        // clear 25 s, so the forward question holds at every breakpoint
+        // and the sweep merges both lattices to the end; the reverse
+        // question is violated as soon as `fast` has any mass, and the
+        // early-exit sweep returns there — the common case in the
+        // router's Pareto scan, where most keepers do not dominate.
+        for (name, a, oa, b, ob) in [
+            ("margin_holds_to_end", &fast, 1.5, &slow, -1.5),
+            ("margin_fails_at_first", &slow, -1.5, &fast, 1.5),
+        ] {
+            g.bench_with_input(BenchmarkId::new(name, bins), &bins, |bch, _| {
+                bch.iter(|| {
+                    dominance::dominates_with_margin_shifted_views(
+                        &black_box(a).view(),
+                        oa,
+                        &black_box(b).view(),
+                        ob,
+                        0.05,
+                    )
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -130,11 +130,16 @@ fn bench_pruning_ablation(c: &mut Criterion) {
 
 /// The dominance-mode cost spectrum: off, the legacy heuristic, the
 /// provably-exact convolution-gated mode, and the margin-calibrated mode
-/// the default configuration runs with.
+/// the default configuration runs with. Before timing, prints what each
+/// mode pruned, how many pairwise comparisons it ran to do so, and how
+/// many pairs the sound modes skipped on the Pareto entry alone because
+/// the exchange-safety rule excludes them.
 fn bench_dominance_modes(c: &mut Criterion) {
     let ctx = tiny_context();
     let cost = HybridCost::from_ground_truth(&ctx.world, &ctx.model, CombinePolicy::Hybrid);
-    let queries = queries_for(DistanceCategory::ZeroToOne, 4);
+    // [1,5) km: long enough that vertices collect Pareto sets at all (a
+    // [0,1) km query on the tiny world creates ~2 labels).
+    let queries = queries_for(DistanceCategory::OneToFive, 3);
 
     let modes: [(&str, DominanceMode); 4] = [
         ("off", DominanceMode::Off),
@@ -152,6 +157,18 @@ fn bench_dominance_modes(c: &mut Criterion) {
                 max_labels: 30_000,
                 ..RouterConfig::default()
             },
+        );
+        let (mut labels, mut pruned, mut compared, mut skipped) = (0usize, 0usize, 0usize, 0usize);
+        for q in &queries {
+            let r = router.route(q.source, q.target, q.budget_s, None);
+            labels += r.stats.labels_created;
+            pruned += r.stats.pruned_dominance;
+            compared += r.stats.dominance_comparisons;
+            skipped += r.stats.dominance_skipped;
+        }
+        eprintln!(
+            "routing/dominance_modes/{name}: {labels} labels created, {pruned} pruned by \
+             dominance, {compared} comparisons run, {skipped} unsafe pairs skipped"
         );
         g.bench_with_input(BenchmarkId::from_parameter(name), &queries, |b, qs| {
             b.iter(|| {

@@ -7,7 +7,7 @@
 //! costs of longer paths by treating the path so far (pre-path) as a
 //! 'virtual' edge."
 
-use crate::model::features::pair_features_view;
+use crate::model::features::PreSummary;
 use crate::model::hybrid::{CombineOutcome, HybridModel};
 use srt_dist::{with_local_pool, Histogram, HistogramBuf, HistogramPool, HistogramView};
 use srt_graph::{EdgeId, RoadGraph};
@@ -41,6 +41,22 @@ pub struct HybridCost {
     marginals: Arc<[Histogram]>,
     /// Combination policy (swappable for baselines/ablations).
     pub policy: CombinePolicy,
+}
+
+/// A pre-distribution staged by [`HybridCost::stage_pre`]: the borrowed
+/// view plus, when the staging policy reads features, its summary.
+#[derive(Copy, Clone, Debug)]
+pub struct StagedPre<'a> {
+    view: HistogramView<'a>,
+    summary: Option<PreSummary>,
+}
+
+impl StagedPre<'_> {
+    /// The staged summary; computed on the spot when staging skipped it
+    /// (`policy` is a public field, so it may have changed since).
+    fn summary(&self) -> PreSummary {
+        self.summary.unwrap_or_else(|| PreSummary::of(&self.view))
+    }
 }
 
 impl HybridCost {
@@ -142,6 +158,15 @@ impl HybridCost {
         with_local_pool(|pool| self.combine_pooled(&pre.view(), prev_edge, next_edge, None, pool))
     }
 
+    /// Stages `pre` for combining with any number of next edges: under a
+    /// policy that reads features, its [`PreSummary`] is computed here,
+    /// once, instead of once per combine. The routing engine stages each
+    /// popped label before walking its out-edges.
+    pub fn stage_pre<'a>(&self, pre: HistogramView<'a>) -> StagedPre<'a> {
+        let summary = (self.policy != CombinePolicy::AlwaysConvolve).then(|| PreSummary::of(&pre));
+        StagedPre { view: pre, summary }
+    }
+
     /// In-place core of the combine step: writes the combined masses into
     /// `out`, raw in the [`HistogramBuf`] sense (one normalization
     /// pending, applied by `out.into_histogram()`). Returns a
@@ -151,7 +176,7 @@ impl HybridCost {
     /// heap allocation.
     pub fn combine_into(
         &self,
-        pre: &HistogramView<'_>,
+        pre: &StagedPre<'_>,
         prev_edge: EdgeId,
         next_edge: EdgeId,
         out: &mut HistogramBuf,
@@ -159,11 +184,18 @@ impl HybridCost {
     ) -> CombineOutcome {
         let next_marginal = self.marginal(next_edge);
         match self.policy {
-            CombinePolicy::Hybrid => self
-                .model
-                .combine_into(&self.graph, pre, prev_edge, next_edge, next_marginal, out, pool),
+            CombinePolicy::Hybrid => self.model.combine_into(
+                &self.graph,
+                &pre.view,
+                &pre.summary(),
+                prev_edge,
+                next_edge,
+                next_marginal,
+                out,
+                pool,
+            ),
             CombinePolicy::AlwaysConvolve => {
-                let route = self.model.convolve_into(pre, next_marginal, out, pool);
+                let route = self.model.convolve_into(&pre.view, next_marginal, out, pool);
                 CombineOutcome {
                     used_estimator: false,
                     route: Some(route),
@@ -171,8 +203,10 @@ impl HybridCost {
             }
             CombinePolicy::AlwaysEstimate => {
                 let features =
-                    pair_features_view(&self.graph, pre, prev_edge, next_edge, next_marginal);
-                self.model.estimate_into(pre, next_marginal, &features, out);
+                    pre.summary()
+                        .assemble(&self.graph, prev_edge, next_edge, next_marginal);
+                self.model
+                    .estimate_into(&pre.view, next_marginal, &features, out);
                 CombineOutcome {
                     used_estimator: true,
                     route: None,
@@ -201,14 +235,28 @@ impl HybridCost {
             .0
     }
 
-    /// [`HybridCost::combine_pooled`] plus the step's [`CombineOutcome`]
-    /// — the form the routing engine calls so its `lattice_fast_path`
-    /// counter can tally shared-lattice convolutions without a second
-    /// dispatch. The histogram returned is bit-identical to
-    /// [`HybridCost::combine_pooled`]'s (that method delegates here).
+    /// [`HybridCost::combine_pooled`] plus the step's [`CombineOutcome`].
+    /// Stages `pre` and runs [`HybridCost::combine_staged_traced`], so a
+    /// one-off combine and the engine's staged expansion are the same
+    /// code.
     pub fn combine_pooled_traced(
         &self,
         pre: &HistogramView<'_>,
+        prev_edge: EdgeId,
+        next_edge: EdgeId,
+        max_bins: Option<usize>,
+        pool: &mut HistogramPool,
+    ) -> (Histogram, CombineOutcome) {
+        self.combine_staged_traced(&self.stage_pre(*pre), prev_edge, next_edge, max_bins, pool)
+    }
+
+    /// The combine-and-cap step over an already staged pre-distribution
+    /// — the form the routing engine calls, once per out-edge of the
+    /// label it staged, and whose [`CombineOutcome`] feeds its
+    /// `lattice_fast_path` counter without a second dispatch.
+    pub fn combine_staged_traced(
+        &self,
+        pre: &StagedPre<'_>,
         prev_edge: EdgeId,
         next_edge: EdgeId,
         max_bins: Option<usize>,

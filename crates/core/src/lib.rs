@@ -66,7 +66,7 @@ pub mod model;
 pub mod routing;
 pub mod sync;
 
-pub use cost::{CombinePolicy, HybridCost};
+pub use cost::{CombinePolicy, HybridCost, StagedPre};
 pub use error::CoreError;
 pub use model::hybrid::HybridModel;
 pub use model::training::{train_hybrid, TrainReport, TrainingConfig};

@@ -54,10 +54,11 @@ pub fn pair_features(
     pair_features_view(g, &pre.view(), prev_edge, next_edge, next_marginal)
 }
 
-/// [`pair_features`] over a borrowed pre-distribution — the form the
-/// routing engine's expansion loop uses, so a label's offset-translated
-/// histogram feeds the model without being materialized. Bit-identical
-/// to the `Histogram` form (which delegates here).
+/// [`pair_features`] over a borrowed pre-distribution. Bit-identical to
+/// the `Histogram` form (which delegates here); the composition of the
+/// two steps the routing engine runs separately — [`PreSummary::of`] once
+/// per expanded label, [`PreSummary::assemble`] once per out-edge — so
+/// there is exactly one feature definition.
 pub fn pair_features_view(
     g: &RoadGraph,
     pre: &HistogramView<'_>,
@@ -65,43 +66,75 @@ pub fn pair_features_view(
     next_edge: EdgeId,
     next_marginal: &Histogram,
 ) -> [f64; FEATURE_COUNT] {
-    let attrs = g.attrs(next_edge);
-    let junction = g.edge_source(next_edge);
-    let turn = g.turn_angle(prev_edge, next_edge).unwrap_or(0.0);
+    PreSummary::of(pre).assemble(g, prev_edge, next_edge, next_marginal)
+}
 
-    let pre_span = pre.end() - pre.start();
-    let next_span = next_marginal.end() - next_marginal.start();
+/// Number of leading `pre_*` features a [`PreSummary`] holds.
+const PRE_STATS: usize = 10;
 
-    [
-        pre.mean(),
-        pre.std_dev(),
-        pre.start(),
-        pre.end(),
-        pre_span,
-        pre.entropy(),
-        pre.max_prob(),
-        pre.quantile(0.25),
-        pre.quantile(0.50),
-        pre.quantile(0.75),
-        next_marginal.mean(),
-        next_marginal.std_dev(),
-        next_marginal.start(),
-        next_marginal.end(),
-        next_span,
-        attrs.length_m,
-        attrs.speed_limit_kmh,
-        attrs.freeflow_time_s(),
-        attrs.category.as_index() as f64,
-        turn,
-        g.out_degree(junction) as f64,
-        g.in_degree(junction) as f64,
-        if next_marginal.mean() > 0.0 {
-            pre.mean() / next_marginal.mean()
-        } else {
-            0.0
-        },
-        if next_span > 0.0 { pre_span / next_span } else { 0.0 },
-    ]
+/// The ten `pre_*` statistics of a pre-distribution (features `0..10`, in
+/// [`FEATURE_NAMES`] order). They depend only on the path so far, so a
+/// search that extends one label along several out-edges computes them
+/// once — an `ln` per bucket for the entropy, three quantile scans and
+/// the moment folds — instead of once per out-edge.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct PreSummary([f64; PRE_STATS]);
+
+impl PreSummary {
+    /// Summarizes `pre` (the distribution of the path so far).
+    pub fn of(pre: &HistogramView<'_>) -> Self {
+        PreSummary([
+            pre.mean(),
+            pre.std_dev(),
+            pre.start(),
+            pre.end(),
+            pre.end() - pre.start(),
+            pre.entropy(),
+            pre.max_prob(),
+            pre.quantile(0.25),
+            pre.quantile(0.50),
+            pre.quantile(0.75),
+        ])
+    }
+
+    /// Completes the feature vector for extending the summarized path
+    /// (last edge `prev_edge`) with `next_edge`: the next-edge and
+    /// junction features plus the two ratios against the summary.
+    pub fn assemble(
+        &self,
+        g: &RoadGraph,
+        prev_edge: EdgeId,
+        next_edge: EdgeId,
+        next_marginal: &Histogram,
+    ) -> [f64; FEATURE_COUNT] {
+        let attrs = g.attrs(next_edge);
+        let junction = g.edge_source(next_edge);
+        let turn = g.turn_angle(prev_edge, next_edge).unwrap_or(0.0);
+
+        let (pre_mean, pre_span) = (self.0[0], self.0[4]);
+        let next_mean = next_marginal.mean();
+        let next_span = next_marginal.end() - next_marginal.start();
+
+        let mut f = [0.0; FEATURE_COUNT];
+        f[..PRE_STATS].copy_from_slice(&self.0);
+        f[PRE_STATS..].copy_from_slice(&[
+            next_mean,
+            next_marginal.std_dev(),
+            next_marginal.start(),
+            next_marginal.end(),
+            next_span,
+            attrs.length_m,
+            attrs.speed_limit_kmh,
+            attrs.freeflow_time_s(),
+            attrs.category.as_index() as f64,
+            turn,
+            g.out_degree(junction) as f64,
+            g.in_degree(junction) as f64,
+            if next_mean > 0.0 { pre_mean / next_mean } else { 0.0 },
+            if next_span > 0.0 { pre_span / next_span } else { 0.0 },
+        ]);
+        f
+    }
 }
 
 /// Feature indices that depend on the pre-distribution (and therefore on
@@ -208,6 +241,79 @@ mod tests {
         for (i, slot) in partial.iter().enumerate() {
             if let Some(v) = slot {
                 assert!((f[i] - v).abs() < 1e-12, "feature {i} drifted");
+            }
+        }
+    }
+
+    /// The feature definition as it stood before the summary/assembly
+    /// split: one literal, every statistic read straight off the views.
+    fn pair_features_unsplit(
+        g: &RoadGraph,
+        pre: &HistogramView<'_>,
+        prev_edge: EdgeId,
+        next_edge: EdgeId,
+        next_marginal: &Histogram,
+    ) -> [f64; FEATURE_COUNT] {
+        let attrs = g.attrs(next_edge);
+        let junction = g.edge_source(next_edge);
+        let turn = g.turn_angle(prev_edge, next_edge).unwrap_or(0.0);
+        let pre_span = pre.end() - pre.start();
+        let next_span = next_marginal.end() - next_marginal.start();
+        [
+            pre.mean(),
+            pre.std_dev(),
+            pre.start(),
+            pre.end(),
+            pre_span,
+            pre.entropy(),
+            pre.max_prob(),
+            pre.quantile(0.25),
+            pre.quantile(0.50),
+            pre.quantile(0.75),
+            next_marginal.mean(),
+            next_marginal.std_dev(),
+            next_marginal.start(),
+            next_marginal.end(),
+            next_span,
+            attrs.length_m,
+            attrs.speed_limit_kmh,
+            attrs.freeflow_time_s(),
+            attrs.category.as_index() as f64,
+            turn,
+            g.out_degree(junction) as f64,
+            g.in_degree(junction) as f64,
+            if next_marginal.mean() > 0.0 {
+                pre.mean() / next_marginal.mean()
+            } else {
+                0.0
+            },
+            if next_span > 0.0 { pre_span / next_span } else { 0.0 },
+        ]
+    }
+
+    /// The engine's two-step form (summary once, assembly per out-edge)
+    /// and the one-shot `pair_features_view` against the unsplit
+    /// definition, bit for bit, on the view shapes the search stages: a
+    /// point mass, a bucket-capped convolution result, and a
+    /// zero-anchored payload translated by its offset.
+    #[test]
+    fn summary_plus_assembly_is_bitwise_the_unsplit_definition() {
+        let (g, e1, e2) = tiny();
+        let nm = Histogram::new(25.0, 5.0, vec![0.5, 0.5]).unwrap();
+        let point = Histogram::point_mass(10.0, 1e-6).unwrap();
+        let wide = Histogram::new(30.0, 0.75, (1..=40).map(f64::from).collect()).unwrap();
+        let capped = srt_dist::convolve_bounded(&wide, &nm, 12).unwrap();
+        let shape = Histogram::new(0.0, 2.5, vec![0.1, 0.0, 0.6, 0.3, 0.0]).unwrap();
+        let translated = HistogramView::from_raw(417.25, shape.width(), shape.probs());
+        for pre in [point.view(), capped.view(), shape.view(), translated] {
+            // One summary serves every out-edge, as in the expansion loop.
+            let summary = PreSummary::of(&pre);
+            for (prev, next, marginal) in [(e1, e2, &nm), (e2, e1, &point)] {
+                let want = pair_features_unsplit(&g, &pre, prev, next, marginal).map(f64::to_bits);
+                let split = summary.assemble(&g, prev, next, marginal);
+                assert_eq!(split.map(f64::to_bits), want);
+                let whole = pair_features_view(&g, &pre, prev, next, marginal);
+                assert_eq!(whole.map(f64::to_bits), want);
             }
         }
     }

@@ -5,7 +5,7 @@ use crate::model::calibration::DominanceCalibration;
 use crate::model::classifier::DependenceClassifier;
 use crate::model::envelope::SupportEnvelope;
 use crate::model::estimator::DistributionEstimator;
-use crate::model::features::{pair_features, pair_features_view};
+use crate::model::features::{pair_features, PreSummary};
 use serde::{Deserialize, Serialize};
 use srt_dist::{
     convolve_bounded, convolve_bounded_into, ConvRoute, Histogram, HistogramBuf, HistogramPool,
@@ -97,24 +97,27 @@ impl HybridModel {
     /// (through a pooled scratch row — no allocation on either backend)
     /// and writes the combined masses into `out`, raw in the
     /// [`HistogramBuf`] sense (one normalization pending). Promoting
-    /// `out` is bit-identical to the value-returning form. Returns a
+    /// `out` is bit-identical to the value-returning form. `summary` must
+    /// be [`PreSummary::of`]`(pre)` — passed in so a caller extending one
+    /// `pre` along several edges summarizes it once. Returns a
     /// [`CombineOutcome`] describing which arm (and convolution route)
     /// ran.
-    // The argument list mirrors `combine` plus the output buffer and
-    // scratch row; collapsing it into a params struct would churn every
-    // routing call site for no clarity gain.
+    // The argument list mirrors `combine` plus the summary, the output
+    // buffer and the scratch pool; collapsing it into a params struct
+    // would churn every routing call site for no clarity gain.
     #[allow(clippy::too_many_arguments)]
     pub fn combine_into(
         &self,
         g: &RoadGraph,
         pre: &HistogramView<'_>,
+        summary: &PreSummary,
         prev_edge: EdgeId,
         next_edge: EdgeId,
         next_marginal: &Histogram,
         out: &mut HistogramBuf,
         pool: &mut HistogramPool,
     ) -> CombineOutcome {
-        let features = pair_features_view(g, pre, prev_edge, next_edge, next_marginal);
+        let features = summary.assemble(g, prev_edge, next_edge, next_marginal);
         // Only the logistic backend needs a scratch row; the (default)
         // forest gate answers through the allocation-free class-scalar
         // query, keeping the pool counters a pure label-payload measure.

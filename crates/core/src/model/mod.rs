@@ -16,5 +16,7 @@ pub use calibration::DominanceCalibration;
 pub use envelope::SupportEnvelope;
 pub use classifier::{ClassifierBackend, DependenceClassifier};
 pub use estimator::DistributionEstimator;
-pub use features::{pair_features, pair_features_partial, pair_features_view, FEATURE_COUNT};
+pub use features::{
+    pair_features, pair_features_partial, pair_features_view, PreSummary, FEATURE_COUNT,
+};
 pub use hybrid::{CombineOutcome, HybridModel};

@@ -102,6 +102,14 @@ pub struct SearchStats {
     /// Incumbent Pareto entries retired by a dominating newcomer (a
     /// subset of `pruned_dominance`).
     pub dominance_retired: usize,
+    /// Live label pairs handed to the dominance policy (both Pareto
+    /// passes): what pruning (d) dereferenced a label and built a
+    /// histogram view for.
+    pub dominance_comparisons: usize,
+    /// Pareto entries passed over on the entry alone because the pair is
+    /// not exchange-safe — no label, out-edge walk or histogram touched.
+    /// Always zero in the modes without the exchange-safety rule.
+    pub dominance_skipped: usize,
     /// Amortized Pareto-set compaction sweeps performed.
     pub pareto_compactions: usize,
     /// `true` iff the search ran to exhaustion (result is exact within the

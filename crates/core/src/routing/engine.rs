@@ -73,6 +73,48 @@
 //! forever — the same fix applied to the old hidden thread-local
 //! convolution scratch in `srt-dist`.
 //!
+//! # Search loop: what each candidate pays for
+//!
+//! One pop of the best-first queue fans out into one *candidate* per
+//! out-edge, and most candidates are pruned, so each stage of the
+//! per-candidate pipeline reads only what its own decision needs:
+//!
+//! * **Once per popped label:** the payload is staged (a bounded
+//!   memcpy, see above) and [`HybridCost::stage_pre`] computes the ten
+//!   `pre_*` features — entropy, three quantiles, the moments — which
+//!   depend on the label alone. Each out-edge then only *assembles* its
+//!   feature vector (next-edge and junction features, two ratios) before
+//!   the gate and the combine run.
+//! * **Per candidate, scalar cuts first:** the budget gate and bound (a)
+//!   read the new histogram's support and one CDF value.
+//! * **Pruning (d) reads inline entries before labels.** A vertex's
+//!   Pareto set is a vector of 12-byte `ParetoEntry` records — `(label
+//!   id, predecessor vertex, unbanned)` — where `unbanned` ("no out-edge
+//!   of this vertex returns to the predecessor", i.e. the U-turn rule
+//!   bans this label from nothing) is computed **once, when the label is
+//!   created**. The sound dominance modes may only prune exchange-safe
+//!   pairs, and safety is a function of those two fields: a keeper is
+//!   safe against a candidate iff they share a predecessor or the keeper
+//!   is unbanned. So both passes — "does an incumbent dominate the
+//!   newcomer?" and "which incumbents does the newcomer retire?" — skip
+//!   an unsafe pair from the entry alone, without dereferencing the
+//!   arena label, walking the vertex's out-edges or building a histogram
+//!   view. On a two-way road network that is almost every pair with
+//!   different predecessors. The per-comparison predicate this replaces
+//!   is kept in [`policy`] as the reference: a
+//!   unit test there pins flag and predicate equal on every `(vertex,
+//!   predecessor)` of the scenario-matrix topologies, and a debug
+//!   assertion re-checks every pair the search visits.
+//! * **Pairs that survive compare distributions, and stop early.**
+//!   `srt_dist`'s breakpoint merge is stoppable, so the margin predicate
+//!   returns at its first violated breakpoint instead of merging the
+//!   rest of both lattices.
+//!
+//! None of this changes an answer or an existing counter; it adds two,
+//! [`SearchStats::dominance_comparisons`] (pairs handed to the dominance
+//! policy) and [`SearchStats::dominance_skipped`] (pairs passed over on
+//! the entry alone).
+//!
 //! # Hot swap
 //!
 //! All model-derived read-mostly state lives in one immutable
@@ -112,8 +154,8 @@ use crate::model::SupportEnvelope;
 use crate::routing::baseline::ExpectedTimeBaseline;
 use crate::routing::budget::{RouteResult, RouterConfig, SearchStats};
 use crate::routing::policy::{
-    exchange_safe, BoundMode, BoundPolicy, BudgetGate, ConvCertificate, DominanceMode,
-    DominancePolicy, LabelView, PruneCtx, PrunePolicy,
+    self, BoundMode, BoundPolicy, BudgetGate, ConvCertificate, DominanceMode, DominancePolicy,
+    LabelView, PruneCtx, PrunePolicy,
 };
 use crate::sync::{BoundedLru, EpochCell, SeqLock};
 use serde::{Deserialize, Serialize};
@@ -454,6 +496,20 @@ enum Incumbent {
     Label(u32),
 }
 
+/// One Pareto-set entry: the label's arena id plus the two facts pruning
+/// (d) needs *before* it is worth touching the label — which vertex it
+/// entered from, and whether the U-turn rule bans it from nothing there
+/// ([`policy::uturn_free`], computed once when the label is created).
+/// Together they decide exchange safety for any pairing of this label
+/// with a candidate, so an unsafe pair is skipped from the entry alone:
+/// no arena dereference, no out-edge walk, no histogram view.
+#[derive(Copy, Clone)]
+struct ParetoEntry {
+    id: u32,
+    prev: NodeId,
+    unbanned: bool,
+}
+
 /// Per-vertex Pareto sets with amortized compaction: retiring marks a
 /// label dead in the arena and counts it here; the entry list is only
 /// swept once dead entries outnumber the live ones. Entry vectors are
@@ -461,7 +517,7 @@ enum Incumbent {
 /// between queries costs time proportional to the vertices the previous
 /// search actually visited.
 struct ParetoScratch {
-    entries: Vec<Vec<u32>>,
+    entries: Vec<Vec<ParetoEntry>>,
     dead: Vec<u32>,
     touched: Vec<u32>,
 }
@@ -489,11 +545,11 @@ impl ParetoScratch {
         self.touched.clear();
     }
 
-    fn push(&mut self, node: usize, id: u32) {
+    fn push(&mut self, node: usize, entry: ParetoEntry) {
         if self.entries[node].is_empty() {
             self.touched.push(node as u32);
         }
-        self.entries[node].push(id);
+        self.entries[node].push(entry);
     }
 }
 
@@ -1415,6 +1471,10 @@ impl RoutingEngine {
             );
             let prev_edge = label.edge;
             let prev_vertex = label.prev_vertex;
+            // Everything the combine step reads from the popped label
+            // alone (the ten `pre_*` features) is computed here, once,
+            // not once per out-edge.
+            let pre = epoch.cost.stage_pre(expand.as_view());
 
             for (e, head) in g.out_edges(vertex) {
                 if head == prev_vertex {
@@ -1423,8 +1483,8 @@ impl RoutingEngine {
                 if !bounds.reachable(head) {
                     continue;
                 }
-                let (dist, outcome) = epoch.cost.combine_pooled_traced(
-                    &expand.as_view(),
+                let (dist, outcome) = epoch.cost.combine_staged_traced(
+                    &pre,
                     prev_edge,
                     e,
                     Some(self.cfg.max_bins),
@@ -1565,8 +1625,11 @@ impl RoutingEngine {
             return;
         }
 
-        // Pruning (d): dominance against the Pareto set at `head`.
-        if epoch.dominance.enabled() {
+        // Pruning (d): dominance against the Pareto set at `head`. Both
+        // passes decide exchange safety from the `ParetoEntry` alone and
+        // skip an unsafe pair before touching the arena, the graph or a
+        // histogram — on a two-way road network that is most pairs.
+        let unbanned = if epoch.dominance.enabled() {
             let g = epoch.cost.graph();
             let candidate = LabelView {
                 offset,
@@ -1576,15 +1639,22 @@ impl RoutingEngine {
             let need_safety = epoch.dominance.needs_exchange_safety();
             // A dominated newcomer is discarded outright (dead entries are
             // skipped lazily; compaction is amortized below).
-            let n_entries = pareto.entries[head.index()].len();
-            for i in 0..n_entries {
-                let oid = pareto.entries[head.index()][i] as usize;
-                let other = &arena[oid];
+            for keeper_entry in &pareto.entries[head.index()] {
+                let safe =
+                    !need_safety || keeper_entry.prev == prev_vertex || keeper_entry.unbanned;
+                debug_assert_eq!(
+                    safe,
+                    !need_safety || policy::exchange_safe(g, head, keeper_entry.prev, prev_vertex)
+                );
+                if !safe {
+                    stats.dominance_skipped += 1;
+                    continue;
+                }
+                let other = &arena[keeper_entry.id as usize];
                 if !other.alive {
                     continue;
                 }
-                let safe =
-                    !need_safety || exchange_safe(g, head, other.prev_vertex, prev_vertex);
+                stats.dominance_comparisons += 1;
                 let keeper = LabelView {
                     offset: other.offset,
                     hist: other
@@ -1602,17 +1672,27 @@ impl RoutingEngine {
             }
             // Retire incumbents the newcomer dominates. The newcomer is
             // the keeper here, so its half of the exchange-safety check
-            // (no out-edge returns to its predecessor) is loop-invariant.
-            let newcomer_unbanned = need_safety
-                && g.out_edges(head).all(|(_, h)| h != prev_vertex);
-            for i in 0..n_entries {
-                let oid = pareto.entries[head.index()][i] as usize;
+            // is loop-invariant — and, stored in its own entry below, is
+            // the half every later candidate reads back.
+            let unbanned = policy::uturn_free(g, head, prev_vertex);
+            for i in 0..pareto.entries[head.index()].len() {
+                let incumbent_entry = pareto.entries[head.index()][i];
+                let safe = !need_safety || unbanned || incumbent_entry.prev == prev_vertex;
+                debug_assert_eq!(
+                    safe,
+                    !need_safety
+                        || policy::exchange_safe(g, head, prev_vertex, incumbent_entry.prev)
+                );
+                if !safe {
+                    stats.dominance_skipped += 1;
+                    continue;
+                }
+                let oid = incumbent_entry.id as usize;
                 let other = &arena[oid];
                 if !other.alive {
                     continue;
                 }
-                let safe =
-                    !need_safety || newcomer_unbanned || other.prev_vertex == prev_vertex;
+                stats.dominance_comparisons += 1;
                 let dominated = {
                     let incumbent_view = LabelView {
                         offset: other.offset,
@@ -1643,11 +1723,14 @@ impl RoutingEngine {
             let dead = pareto.dead[head.index()] as usize;
             if dead * 2 > pareto.entries[head.index()].len() {
                 let arena_ref = &arena;
-                pareto.entries[head.index()].retain(|&oid| arena_ref[oid as usize].alive);
+                pareto.entries[head.index()].retain(|e| arena_ref[e.id as usize].alive);
                 pareto.dead[head.index()] = 0;
                 stats.pareto_compactions += 1;
             }
-        }
+            Some(unbanned)
+        } else {
+            None
+        };
 
         let id = arena.len() as u32;
         stats.labels_created += 1;
@@ -1661,8 +1744,13 @@ impl RoutingEngine {
             certified,
             alive: true,
         });
-        if epoch.dominance.enabled() {
-            pareto.push(head.index(), id);
+        if let Some(unbanned) = unbanned {
+            let entry = ParetoEntry {
+                id,
+                prev: prev_vertex,
+                unbanned,
+            };
+            pareto.push(head.index(), entry);
         }
         heap.push(QueueEntry { ub, id });
     }

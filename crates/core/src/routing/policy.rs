@@ -417,6 +417,13 @@ fn supports_disjoint(a: &LabelView<'_>, b: &LabelView<'_>) -> bool {
 /// could from `vertex`: both labels entered from the same predecessor, or
 /// no out-edge returns to the keeper's predecessor (so the U-turn rule
 /// bans the keeper from nothing the candidate was allowed).
+///
+/// This is the *reference* form. The engine no longer calls it per
+/// comparison: it stores [`uturn_free`] in each label's Pareto entry when
+/// the label is created and decides safety as `same predecessor ||
+/// keeper's flag`. A unit test below pins the two equal on every
+/// `(vertex, predecessor)` pair of the scenario-matrix topologies, and a
+/// debug assertion in the engine re-checks every pair the search meets.
 pub fn exchange_safe(
     g: &RoadGraph,
     vertex: NodeId,
@@ -424,6 +431,14 @@ pub fn exchange_safe(
     candidate_prev: NodeId,
 ) -> bool {
     keeper_prev == candidate_prev || g.out_edges(vertex).all(|(_, head)| head != keeper_prev)
+}
+
+/// `true` when no out-edge of `vertex` returns to `prev`: a label that
+/// entered `vertex` from `prev` is banned from nothing by the U-turn
+/// rule (one-way approaches, dead ends), so it may stand in for a label
+/// from any other predecessor. The per-label half of [`exchange_safe`].
+pub fn uturn_free(g: &RoadGraph, vertex: NodeId, prev: NodeId) -> bool {
+    g.out_edges(vertex).all(|(_, head)| head != prev)
 }
 
 /// Per-edge certificate that **every** search extension of a label whose
@@ -775,6 +790,81 @@ mod tests {
         // Keeper came from c: no edge v→c, the keeper is banned from
         // nothing — safe.
         assert!(exchange_safe(&g, v, c, a));
+    }
+
+    /// The flag the engine stores per label against the reference it
+    /// replaced per comparison: for every vertex `v` and every
+    /// predecessor `p` a label can enter it from, `uturn_free(v, p)` must
+    /// equal `exchange_safe(v, p, q)` for every *other* predecessor `q`
+    /// (for `q == p` the engine's `same predecessor ||` clause answers,
+    /// as the reference's does). Checked on the oracle suite's four
+    /// scenario-matrix networks — all two-way, so the flag is `false`
+    /// everywhere there — and on a hand-built junction with a one-way
+    /// approach and a dead end, where it is `true`.
+    #[test]
+    fn stored_uturn_flag_matches_the_exchange_safety_reference() {
+        use srt_graph::{EdgeAttrs, GraphBuilder, Point, RoadCategory};
+        use srt_synth::{generate_network, NetworkConfig, Topology};
+
+        fn check(g: &RoadGraph) -> (usize, usize) {
+            let (mut free, mut banned) = (0, 0);
+            for v in g.node_ids() {
+                for (_, p) in g.in_edges(v) {
+                    let flag = uturn_free(g, v, p);
+                    if flag {
+                        free += 1;
+                    } else {
+                        banned += 1;
+                    }
+                    for q in g.node_ids().filter(|&q| q != p) {
+                        assert_eq!(flag, exchange_safe(g, v, p, q), "v={v:?} p={p:?} q={q:?}");
+                    }
+                    assert!(exchange_safe(g, v, p, p));
+                }
+            }
+            (free, banned)
+        }
+
+        let grid = |seed, width, height| NetworkConfig {
+            width,
+            height,
+            thinning: 0.0,
+            seed,
+            ..NetworkConfig::default()
+        };
+        let wheel = NetworkConfig {
+            topology: Topology::HubAndSpoke {
+                hubs: 3,
+                spokes: 2,
+                spoke_len: 2,
+            },
+            thinning: 0.0,
+            seed: 31,
+            ..NetworkConfig::default()
+        };
+        for cfg in [grid(11, 4, 3), grid(23, 3, 4), wheel, grid(47, 3, 4)] {
+            let (free, banned) = check(&generate_network(&cfg));
+            assert_eq!(free, 0, "the scenario networks are two-way throughout");
+            assert!(banned > 0);
+        }
+
+        // a <-> v two-way, c -> v one-way, v -> d into a dead end.
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(Point::new(10.0, 56.0));
+        let v = b.add_node(Point::new(10.01, 56.0));
+        let c = b.add_node(Point::new(10.02, 56.0));
+        let d = b.add_node(Point::new(10.01, 56.01));
+        let attrs = EdgeAttrs::new(500.0, RoadCategory::Residential, 50.0);
+        b.add_edge(a, v, attrs);
+        b.add_edge(v, a, attrs);
+        b.add_edge(c, v, attrs);
+        b.add_edge(v, d, attrs);
+        let g = b.build();
+        assert_eq!(check(&g), (2, 2));
+        assert!(uturn_free(&g, v, c), "one-way approach: nothing to ban");
+        assert!(uturn_free(&g, d, v), "dead end: no out-edge at all");
+        assert!(!uturn_free(&g, v, a));
+        assert!(!uturn_free(&g, a, v));
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! CDF is evaluated through an incremental [`CdfScanner`] rather than a
 //! fresh `O(n)` prefix sum per boundary: a full comparison costs
 //! `O(na + nb)` instead of `O((na + nb) · n)`, with bit-identical
-//! results (the scanner performs the same left-to-right fold).
+//! results (the scanner performs the same left-to-right fold). The merge
+//! is stoppable: a predicate whose verdict is settled — the margin test
+//! at its first violated breakpoint, [`compare`] once the CDFs have
+//! crossed — ends the sweep there.
 
 use crate::histogram::{Histogram, HistogramView};
 use crate::kernels::CdfScanner;
+use std::ops::ControlFlow;
 
 /// Outcome of a first-order dominance comparison.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -35,22 +39,31 @@ pub enum Dominance {
 const EPS: f64 = 1e-12;
 
 /// Visits the union of both histograms' bucket boundaries in ascending
-/// order (a two-pointer merge; no allocation).
-pub(crate) fn for_each_breakpoint(a: &Histogram, b: &Histogram, f: impl FnMut(f64)) {
-    for_each_breakpoint_shifted_views(&a.view(), 0.0, &b.view(), 0.0, f)
+/// order (a two-pointer merge; no allocation) — the never-stopping
+/// convenience over [`try_for_each_breakpoint_shifted_views`] for
+/// visitors that integrate over the whole support.
+pub(crate) fn for_each_breakpoint(a: &Histogram, b: &Histogram, mut f: impl FnMut(f64)) {
+    let _ = try_for_each_breakpoint_shifted_views(&a.view(), 0.0, &b.view(), 0.0, |x| {
+        f(x);
+        ControlFlow::Continue(())
+    });
 }
 
-/// Like [`for_each_breakpoint`], but over borrowed views, each translated
-/// by its own scalar offset — the router's pruning-(c) label
-/// representation `(offset, zero-anchored shape)` compares without
-/// re-materializing the shifted histograms.
-pub(crate) fn for_each_breakpoint_shifted_views(
+/// The one breakpoint merge: visits the union of both views' bucket
+/// boundaries in ascending order, each view translated by its own scalar
+/// offset — the router's pruning-(c) label representation `(offset,
+/// zero-anchored shape)` compares without re-materializing the shifted
+/// histograms. The visitor may stop the sweep by returning
+/// [`ControlFlow::Break`], which is what lets a dominance predicate
+/// return at its first violated breakpoint instead of merging the rest
+/// of both lattices to no effect.
+pub(crate) fn try_for_each_breakpoint_shifted_views(
     a: &HistogramView<'_>,
     oa: f64,
     b: &HistogramView<'_>,
     ob: f64,
-    mut f: impl FnMut(f64),
-) {
+    mut f: impl FnMut(f64) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let (mut i, mut j) = (0usize, 0usize);
     let na = a.num_bins() + 1;
     let nb = b.num_bins() + 1;
@@ -66,16 +79,17 @@ pub(crate) fn for_each_breakpoint_shifted_views(
             f64::INFINITY
         };
         if xa <= xb {
-            f(xa);
+            f(xa)?;
             i += 1;
             if xa == xb {
                 j += 1;
             }
         } else {
-            f(xb);
+            f(xb)?;
             j += 1;
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// Compares `a` and `b` under first-order stochastic dominance.
@@ -84,12 +98,18 @@ pub fn compare(a: &Histogram, b: &Histogram) -> Dominance {
     let mut b_better = false;
     let mut sa = CdfScanner::new(a.view());
     let mut sb = CdfScanner::new(b.view());
-    for_each_breakpoint(a, b, |x| {
+    let _ = try_for_each_breakpoint_shifted_views(&a.view(), 0.0, &b.view(), 0.0, |x| {
         let d = sa.cdf(x) - sb.cdf(x);
         if d > EPS {
             a_better = true;
         } else if d < -EPS {
             b_better = true;
+        }
+        // Once the CDFs have crossed no later breakpoint can uncross them.
+        if a_better && b_better {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
     });
     match (a_better, b_better) {
@@ -184,28 +204,26 @@ pub fn dominates_with_margin_shifted_views(
     if oa + a.start() > ob + b.end() {
         return false;
     }
-    let mut ok = true;
     // Breakpoints ascend and the offsets are constant, so `x - oa` and
     // `x - ob` are non-decreasing sequences — exactly the scanner
-    // contract. After a failure the closure stops querying, which the
-    // scanners are indifferent to.
+    // contract. The sweep stops at the first violated breakpoint: the
+    // verdict is already `false` and nothing after it can change that
+    // (`reference::dominates_with_margin_shifted_ref` keeps the full
+    // sweep; the kernel differential suite pins the two equal).
     let mut sa = CdfScanner::new(*a);
     let mut sb = CdfScanner::new(*b);
-    for_each_breakpoint_shifted_views(a, oa, b, ob, |x| {
-        if !ok {
-            return;
-        }
+    try_for_each_breakpoint_shifted_views(a, oa, b, ob, |x| {
         let ca = sa.cdf(x - oa);
         let cb = sb.cdf(x - ob);
         if ca + MARGIN_TIE < cb {
-            ok = false;
-            return;
+            return ControlFlow::Break(());
         }
         if cb > MARGIN_TIE && ca < 1.0 - MARGIN_TIE && ca + MARGIN_TIE < (cb + eps).min(1.0) {
-            ok = false;
+            return ControlFlow::Break(());
         }
-    });
-    ok
+        ControlFlow::Continue(())
+    })
+    .is_continue()
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::error::DistError;
 use crate::histogram::HistogramView;
-use crate::kernels::projection_bins;
+use crate::kernels::{projection_bins, CdfScanner};
 use crate::pool::{normalize_masses, HistogramBuf, HistogramPool};
 
 /// The historical aligned-convolution loop: per-element zero-mass
@@ -245,4 +245,70 @@ pub fn variance_ref(start: f64, width: f64, probs: &[f64]) -> f64 {
         })
         .sum();
     spread + width * width / 12.0
+}
+
+/// The historical full-sweep margin-dominance predicate: the breakpoint
+/// merge could not stop, so after the first violated breakpoint it kept
+/// merging both lattices with the verdict already settled.
+/// [`crate::dominance::dominates_with_margin_shifted_views`] now returns
+/// at that breakpoint; the two must agree on every input.
+pub fn dominates_with_margin_shifted_ref(
+    a: &HistogramView<'_>,
+    oa: f64,
+    b: &HistogramView<'_>,
+    ob: f64,
+    eps: f64,
+) -> bool {
+    const MARGIN_TIE: f64 = 1e-9;
+    let eps = if eps.is_nan() {
+        f64::INFINITY
+    } else {
+        eps.max(0.0)
+    };
+    if oa + a.start() > ob + b.end() {
+        return false;
+    }
+    let mut ok = true;
+    let mut sa = CdfScanner::new(*a);
+    let mut sb = CdfScanner::new(*b);
+    let mut visit = |x: f64| {
+        if !ok {
+            return;
+        }
+        let ca = sa.cdf(x - oa);
+        let cb = sb.cdf(x - ob);
+        if ca + MARGIN_TIE < cb {
+            ok = false;
+            return;
+        }
+        if cb > MARGIN_TIE && ca < 1.0 - MARGIN_TIE && ca + MARGIN_TIE < (cb + eps).min(1.0) {
+            ok = false;
+        }
+    };
+    let (mut i, mut j) = (0usize, 0usize);
+    let na = a.num_bins() + 1;
+    let nb = b.num_bins() + 1;
+    while i < na || j < nb {
+        let xa = if i < na {
+            oa + a.start() + i as f64 * a.width()
+        } else {
+            f64::INFINITY
+        };
+        let xb = if j < nb {
+            ob + b.start() + j as f64 * b.width()
+        } else {
+            f64::INFINITY
+        };
+        if xa <= xb {
+            visit(xa);
+            i += 1;
+            if xa == xb {
+                j += 1;
+            }
+        } else {
+            visit(xb);
+            j += 1;
+        }
+    }
+    ok
 }

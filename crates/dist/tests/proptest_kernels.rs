@@ -17,9 +17,11 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use srt_dist::dominance::dominates_with_margin_shifted_views;
 use srt_dist::reference::{
     accumulate_aligned_ref, cdf_ref, convolve_bounded_into_ref, convolve_into_ref,
-    convolve_via_projection_ref, quantile_ref, redistribute_into_ref,
+    convolve_via_projection_ref, dominates_with_margin_shifted_ref, quantile_ref,
+    redistribute_into_ref,
 };
 use srt_dist::{convolve_bounded_into, convolve_into, ConvRoute, Histogram, HistogramPool};
 
@@ -302,6 +304,52 @@ proptest! {
                     "scanner diverged at x = {}", x);
             }
         }
+    }
+
+    /// The early-exit margin-dominance sweep against the retained
+    /// full-sweep predicate, in both directions. `placement` steers the
+    /// second operand's offset so the pair lands in each structural
+    /// regime — unrelated, support-disjoint either way, nested inside the
+    /// first's support, and the same shape translated by a sub-bucket
+    /// amount; `adversarial_masses` supplies the zero-mass head/tail
+    /// buckets; `eps` covers no margin, a calibrated-sized one, the
+    /// interval-dominance extreme, and the two clamped inputs.
+    #[test]
+    fn early_exit_dominance_matches_full_sweep(a in arb_adversarial(),
+                                               b in arb_adversarial(),
+                                               oa in -50.0f64..50.0,
+                                               placement in 0usize..5,
+                                               u in 0.0f64..1.0,
+                                               eps_regime in 0usize..5,
+                                               eps_cal in 1e-4f64..0.3) {
+        let (b, ob) = match placement {
+            0 => (b, -50.0 + 100.0 * u),
+            // b begins where a ends (plus a gap), and the mirror image.
+            1 => { let ob = oa + a.end() - b.start() + u * 10.0; (b, ob) }
+            2 => { let ob = oa + a.start() - b.end() - u * 10.0; (b, ob) }
+            // b squeezed strictly inside a's support.
+            3 => {
+                let span = a.end() - a.start();
+                let nested = Histogram::new(
+                    a.start() + 0.25 * span,
+                    0.5 * span / b.num_bins() as f64,
+                    b.probs().to_vec(),
+                ).expect("valid");
+                (nested, oa)
+            }
+            // a's own shape, translated by a fraction of one bucket.
+            _ => (a.clone(), oa + (u - 0.5) * a.width()),
+        };
+        let eps = [0.0, eps_cal, f64::INFINITY, f64::NAN, -eps_cal][eps_regime];
+        let (va, vb) = (a.view(), b.view());
+        prop_assert_eq!(
+            dominates_with_margin_shifted_views(&va, oa, &vb, ob, eps),
+            dominates_with_margin_shifted_ref(&va, oa, &vb, ob, eps),
+            "a over b, placement {}, eps {}", placement, eps);
+        prop_assert_eq!(
+            dominates_with_margin_shifted_views(&vb, ob, &va, oa, eps),
+            dominates_with_margin_shifted_ref(&vb, ob, &va, oa, eps),
+            "b over a, placement {}, eps {}", placement, eps);
     }
 
     /// Shared-lattice soundness: on exact dyadic grids the fast path
