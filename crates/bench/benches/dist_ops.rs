@@ -87,6 +87,45 @@ fn bench_into_ops(c: &mut Criterion) {
             })
         });
     }
+    // The regime the label search actually runs: a 20-bucket label
+    // absorbing a 20-bucket marginal whose support is `ratio` times
+    // narrower, so the widths never match and the result always exceeds
+    // the cap. `search_projected_ref` is the pipeline the closed-form
+    // kernel replaced (project onto the finer lattice, multiply out,
+    // re-bucket), on identical inputs.
+    let label = hist(20, 14);
+    for ratio in [2usize, 20, 40] {
+        let marginal = Histogram::new(12.0, label.width() / ratio as f64, hist(20, 15).probs().to_vec())
+            .expect("valid");
+        g.bench_with_input(BenchmarkId::new("search_bounded_into", ratio), &ratio, |bch, _| {
+            bch.iter(|| {
+                let mut out = pool.checkout();
+                convolve_bounded_into(
+                    &black_box(&label).view(),
+                    &black_box(&marginal).view(),
+                    20,
+                    &mut out,
+                    &mut pool,
+                )
+                .unwrap();
+                pool.checkin_buf(out);
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("search_projected_ref", ratio), &ratio, |bch, _| {
+            bch.iter(|| {
+                let mut out = pool.checkout();
+                srt_dist::reference::convolve_bounded_projected_ref(
+                    &black_box(&label).view(),
+                    &black_box(&marginal).view(),
+                    20,
+                    &mut out,
+                    &mut pool,
+                )
+                .unwrap();
+                pool.checkin_buf(out);
+            })
+        });
+    }
     let src = hist(64, 13);
     g.bench_function("rebin_value", |bch| {
         bch.iter(|| black_box(&src).with_bins(16).unwrap())

@@ -171,9 +171,9 @@ impl HybridCost {
     /// `out`, raw in the [`HistogramBuf`] sense (one normalization
     /// pending, applied by `out.into_histogram()`). Returns a
     /// [`CombineOutcome`] (which arm ran, and which convolution route).
-    /// Temporaries — the mismatched-width projections, the gate's scratch
-    /// row — come from `pool`; with a warm pool the step performs zero
-    /// heap allocation.
+    /// The only temporary is the logistic gate's scratch row, drawn from
+    /// `pool` (a capped convolution, equal widths or not, checks nothing
+    /// out); with a warm pool the step performs zero heap allocation.
     pub fn combine_into(
         &self,
         pre: &StagedPre<'_>,

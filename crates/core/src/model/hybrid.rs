@@ -87,7 +87,11 @@ impl HybridModel {
         self.estimator.predict(features, lo, hi)
     }
 
-    /// The convolution arm (bucket-capped).
+    /// The convolution arm (bucket-capped). `pre` and the marginal almost
+    /// never share a bucket width, so this is `srt_dist`'s closed-form
+    /// capped mixed-width step; the engine, the oracle router, the pivot
+    /// baseline and the calibration probes all reach it through here or
+    /// [`HybridModel::convolve_into`], so they cannot disagree on it.
     pub fn convolve(&self, pre: &Histogram, next_marginal: &Histogram) -> Histogram {
         convolve_bounded(pre, next_marginal, self.bins)
             .expect("bounded convolution of valid histograms succeeds")

@@ -608,6 +608,13 @@ impl SearchContext {
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
+
+    /// This context's histogram pool, read-only (diagnostic: what a warm
+    /// context keeps parked — [`HistogramPool::free_buffers`],
+    /// [`HistogramPool::retained_slots`]).
+    pub fn pool(&self) -> &HistogramPool {
+        &self.pool
+    }
 }
 
 /// Builder for [`RoutingEngine`]: one cost oracle + one [`RouterConfig`],

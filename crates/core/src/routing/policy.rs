@@ -22,7 +22,7 @@
 //!   *convolution-gated* dominance, which only fires when both labels'
 //!   downstream combines are certified convolutions *and* the pair
 //!   shares a support lattice (or is support-disjoint) — the regime
-//!   where the capped-convolution pipeline is provably order-preserving;
+//!   where the capped convolution is provably order-preserving;
 //!   and *margin* dominance, which requires the winner to lead by the
 //!   estimator's calibrated inversion modulus `eps`
 //!   ([`crate::model::DominanceCalibration`]).
@@ -68,9 +68,12 @@ pub enum BoundMode {
     /// `E.span >= label.span + min_out_span(v)` — and its shape, by the
     /// envelope, places at most `env(q)` mass below support fraction
     /// `q`. Subsequent (capped) convolutions only translate the
-    /// evaluation point and take lattice chords, which the persisted
-    /// envelope's concave majorization dominates (see
-    /// [`srt_dist::MassEnvelope`]). Completions with *no* estimator
+    /// evaluation point and take lattice chords — literally: the capped
+    /// step's output CDF at an output knot `x` is `Σ_j b_j · A(x − y_j)`,
+    /// a mass-weighted average of translated evaluations of the incoming
+    /// CDF `A`, and its histogram the chord interpolation of that on the
+    /// output lattice — which the persisted envelope's concave
+    /// majorization dominates (see [`srt_dist::MassEnvelope`]). Completions with *no* estimator
     /// combine are covered by taking the max with the plain CDF bound,
     /// which is exact under convolution. Like the dominance margin, the
     /// envelope's empirical component is certified end to end by the
@@ -92,10 +95,11 @@ pub enum DominanceMode {
     /// whose remaining extensions are certified to convolve, **and**
     /// that either share an identical support lattice or have disjoint
     /// supports. The lattice condition is what makes the mode exact:
-    /// certified extensions run `convolve_bounded` = convolution *plus a
-    /// bucket-cap re-bin*, and re-binning two histograms onto different
-    /// grids is not dominance-monotone — only same-lattice pairs (for
-    /// which every pipeline stage is one common, CDF-monotone operator)
+    /// certified extensions run `convolve_bounded` = convolution *onto a
+    /// bucket-capped grid*, and re-bucketing two histograms onto different
+    /// grids is not dominance-monotone — only same-lattice pairs (which
+    /// land on one output grid, where the step's CDF at every knot is the
+    /// average `Σ_j b_j · A(x − y_j)`, monotone in the label's CDF `A`)
     /// and support-disjoint pairs (whose order survives any
     /// mass-preserving operator) provably keep their order through it.
     /// Returns identical policies to the unpruned search.

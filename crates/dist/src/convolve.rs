@@ -9,6 +9,32 @@
 //! count so search labels stay small (see `RouterConfig::max_bins` in
 //! `srt-core`).
 //!
+//! **The capped mixed-width step is evaluated in closed form.** A search
+//! label (`max_bins` wide buckets over the whole path so far) almost
+//! never shares a bucket width with the edge marginal it absorbs, so the
+//! mismatched-width capped branch of [`convolve_bounded_into`] is *every*
+//! search convolution. Its meaning is [`convolve_into`] followed by a
+//! bucket cap: project the coarser operand onto the finer one's lattice,
+//! multiply the two out there, re-bucket the product down to `max_bins`.
+//! In real arithmetic that product's CDF equals
+//! `G(x) = Σ_j b_j · A(x − y_j)` at every fine-lattice knot (`A` the
+//! coarse operand's piecewise-linear CDF, `b_j` / `y_j` the fine
+//! operand's masses and left bucket edges) and is `G`'s chord between
+//! knots, so it differs from `G` only by smoothing `A`'s kinks across one
+//! fine bucket — by at most
+//! `(w_fine / w_coarse) · max_i |p_i − p_{i−1}| / 4` (`p` the coarse
+//! masses, `p_{−1} = p_n = 0`). The branch therefore reads the `max_bins`
+//! output masses off `G` directly (`kernels::accumulate_direct_capped`:
+//! no fine lattice, no product grid, no pooled temporary, cost independent
+//! of the width ratio). The output *grid* is the projecting pipeline's to
+//! the bit: it is a function of the operands' grids alone (`start`, the
+//! projected bucket count, `span / max_bins`) and the same expressions
+//! compute it, so nothing that keys on grids — lattice detection,
+//! dominance breakpoints, envelopes — can tell the two apart. The
+//! projecting pipeline is retained as
+//! `reference::convolve_bounded_projected_ref`, against which
+//! `tests/proptest_kernels.rs` pins both the grid identity and the bound.
+//!
 //! Every operator exists in two forms. The `_into` form
 //! ([`convolve_into`], [`convolve_bounded_into`]) writes into a
 //! caller-provided [`HistogramBuf`], drawing temporaries from a
@@ -27,15 +53,17 @@
 
 use crate::error::DistError;
 use crate::histogram::{redistribute_into, Histogram, HistogramView};
-use crate::kernels::{accumulate_capped, accumulate_mac, projection_bins, same_lattice};
+use crate::kernels::{
+    accumulate_capped, accumulate_direct_capped, accumulate_mac, projection_bins, same_lattice,
+};
 use crate::pool::{normalize_masses, HistogramBuf, HistogramPool};
 use std::cell::RefCell;
 
 /// Which code path a convolution took — returned by [`convolve_into`] and
 /// [`convolve_bounded_into`] so callers (the routing engine's
 /// `lattice_fast_path` counter, benchmarks, tests) can observe the
-/// kernel dispatch without re-deriving it. Every route writes
-/// bit-identical output for its inputs; the enum is telemetry, not a
+/// kernel dispatch without re-deriving it. The route is a function of the
+/// operands' grids and the cap alone; the enum is telemetry, not a
 /// semantic switch.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ConvRoute {
@@ -54,9 +82,11 @@ pub enum ConvRoute {
     /// Mismatched widths: the coarser operand was projected onto the
     /// finer lattice first, output within the cap (if any).
     Projected,
-    /// Mismatched widths, and the projected result was re-bucketed down
-    /// to the cap.
-    ProjectedCapped,
+    /// Mismatched widths, projected result wider than the cap: the capped
+    /// masses were read off the coarser operand's CDF in closed form, on
+    /// the grid projecting and re-bucketing would have produced — the
+    /// route every search convolution takes.
+    DirectCapped,
 }
 
 impl ConvRoute {
@@ -68,14 +98,15 @@ impl ConvRoute {
 
     /// `true` when a `project_fine` re-binning ran.
     pub fn projected(self) -> bool {
-        matches!(self, ConvRoute::Projected | ConvRoute::ProjectedCapped)
+        matches!(self, ConvRoute::Projected)
     }
 
-    /// `true` when the output was re-bucketed to a cap.
+    /// `true` when the exact result exceeded the cap, so the output sits
+    /// on the capped grid.
     pub fn capped(self) -> bool {
         matches!(
             self,
-            ConvRoute::LatticeCapped | ConvRoute::AlignedCapped | ConvRoute::ProjectedCapped
+            ConvRoute::LatticeCapped | ConvRoute::AlignedCapped | ConvRoute::DirectCapped
         )
     }
 }
@@ -129,6 +160,14 @@ fn project_fine(h: &HistogramView<'_>, w: f64, pool: &mut HistogramPool) -> Vec<
 /// `b` into `out`. Mismatched widths are projected onto the finer lattice
 /// using temporaries from `pool`; aligned inputs touch the pool not at
 /// all. Returns the [`ConvRoute`] taken.
+///
+/// This *uncapped* projecting route sizes its grid by the width ratio
+/// (`coarse span / finer width` slots), so a hair-width operand — the
+/// `1e-9`-wide marginal [`crate::empirical::from_samples`] gives a
+/// constant travel time — asks it for a grid no machine has. Callers that
+/// cannot vouch for their operands' widths use [`convolve_bounded_into`],
+/// whose capped route does `O(max_bins)` work per fine bucket whatever the
+/// ratio.
 pub fn convolve_into(
     a: &HistogramView<'_>,
     b: &HistogramView<'_>,
@@ -194,13 +233,14 @@ pub fn convolve(a: &Histogram, b: &Histogram) -> Histogram {
 }
 
 /// In-place twin of [`convolve_bounded`]: writes the (raw) capped
-/// convolution of `a` and `b` into `out`. Equal-width operands never
-/// touch `pool` at all — when the exact result exceeds `max_bins`, the
-/// fused accumulate-and-cap kernel re-buckets on the fly without
-/// materializing the uncapped product grid. Mismatched widths draw
-/// projection temporaries from `pool`. This is the routing label
-/// expansion's workhorse: with a warm pool the whole step performs zero
-/// heap allocation. Returns the [`ConvRoute`] taken.
+/// convolution of `a` and `b` into `out`. Whenever the exact result
+/// exceeds `max_bins` the step touches `pool` not at all: equal-width
+/// operands run the fused accumulate-and-cap kernel (re-bucketing on the
+/// fly, no materialized product grid), mismatched widths — the routing
+/// label expansion's every convolution — the closed-form kernel (see the
+/// module docs). Only a mismatched pair whose projected result already
+/// fits the cap draws a projection temporary from `pool`, through
+/// [`convolve_into`]. Returns the [`ConvRoute`] taken.
 ///
 /// # Errors
 /// [`DistError::ZeroBins`] when `max_bins == 0`.
@@ -215,17 +255,35 @@ pub fn convolve_bounded_into(
         return Err(DistError::ZeroBins);
     }
     if a.width() != b.width() {
-        // Cold path: mismatched widths go through the projecting
-        // convolve, then the generic bucket cap (which reproduces the
-        // value pipeline's materialize-then-`with_bins` normalization).
-        convolve_into(a, b, out, pool);
-        let capped = out.num_bins() > max_bins;
-        out.cap_bins(max_bins, pool)?;
-        return Ok(if capped {
-            ConvRoute::ProjectedCapped
+        let (fine, coarse) = if a.width() < b.width() {
+            (a, b)
         } else {
-            ConvRoute::Projected
-        });
+            (b, a)
+        };
+        // The grid projecting `coarse` onto `fine`'s lattice, convolving
+        // there and capping would produce — same expressions, same bits.
+        let w = fine.width();
+        let n = projection_bins(coarse.end() - coarse.start(), w)
+            .saturating_add(fine.num_bins() - 1);
+        if n <= max_bins {
+            convolve_into(a, b, out, pool);
+            debug_assert_eq!(out.num_bins(), n);
+            return Ok(ConvRoute::Projected);
+        }
+        let start = a.start() + b.start();
+        let span = (start + w * n as f64) - start;
+        let width = span / max_bins as f64;
+        accumulate_direct_capped(
+            coarse.probs(),
+            coarse.width(),
+            fine.probs(),
+            w,
+            width,
+            max_bins,
+            out.reset_masses(),
+        );
+        out.set_grid(start, width);
+        return Ok(ConvRoute::DirectCapped);
     }
     let n = a.num_bins() + b.num_bins() - 1;
     let lattice = same_lattice(a, b);
@@ -364,6 +422,22 @@ mod tests {
             convolve_bounded_into(&a.view(), &a.view(), 0, &mut out, &mut pool),
             Err(DistError::ZeroBins)
         );
+    }
+
+    /// A constant travel time fits as a marginal of `1e-9`-wide buckets.
+    /// Projecting a label onto that lattice asked for 2·10¹¹ slots and
+    /// aborted the process on the failed allocation; the closed form's
+    /// cost does not depend on the width ratio.
+    #[test]
+    fn hair_width_marginal_is_absorbed_without_a_grid() {
+        let label = h(300.0, 10.0, &[0.05; 20]);
+        let constant = crate::empirical::from_samples(&[42.0; 50], 20).unwrap();
+        let before = with_local_pool(|pool| pool.stats());
+        let c = convolve_bounded(&label, &constant, 20).unwrap();
+        assert_eq!(c.start(), 342.0);
+        assert_eq!(c.num_bins(), 20);
+        assert!((c.mean() - 442.0).abs() < 1e-6, "mean {}", c.mean());
+        assert_eq!(with_local_pool(|pool| pool.stats()), before);
     }
 
     #[test]

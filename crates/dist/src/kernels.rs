@@ -1,7 +1,8 @@
 //! Chunked, branch-free inner-loop kernels of the distribution algebra.
 //!
 //! Every hot loop in the crate — the convolution multiply-accumulate, the
-//! fused accumulate-and-cap, the CDF/quantile/moment scans — lives here as
+//! fused accumulate-and-cap, the closed-form capped mixed-width
+//! convolution, the CDF/quantile/moment scans — lives here as
 //! a small, autovectorizer-friendly kernel with a precisely stated
 //! **accumulation-order contract**:
 //!
@@ -44,6 +45,23 @@
 //!   early-exit branch with a fixed-trip-count loop and conditional
 //!   selects; it records the same hit index and the same prefix mass, so
 //!   the interpolated result is identical.
+//! * **Carrying a prefix across an ascending sweep.** [`CdfScanner`]
+//!   evaluates a piecewise-linear CDF at ascending points by advancing
+//!   one running prefix instead of re-summing it per point: the same
+//!   left-to-right fold from `0.0`, so the same bits as the one-shot scan
+//!   ([`crate::reference::cdf_ref`]). The closed-form capped mixed-width
+//!   kernel ([`accumulate_direct_capped`]) walks its operand's CDF with
+//!   one scanner per fine bucket, and is bit-identical to the twin that
+//!   calls the one-shot scan per point
+//!   ([`crate::reference::accumulate_direct_capped_ref`]).
+//!
+//! The closed-form kernel is the one entry that is not a restructuring of
+//! the loop it replaced: it computes the capped mixed-width convolution by
+//! a different (cheaper, ratio-independent) route, so beside its bitwise
+//! twin the replaced pipeline is retained too
+//! ([`crate::reference::convolve_bounded_projected_ref`]) and the suite
+//! pins the pair to a bit-identical output grid and a derived CDF bound —
+//! see `crate::convolve`.
 //!
 //! What is **not** bitwise-neutral — multi-accumulator sum
 //! reassociation, FMA contraction, reciprocal multiplication — is either
@@ -187,6 +205,58 @@ pub(crate) fn accumulate_capped(
             d0 = d1;
         }
         k0 = k1;
+    }
+}
+
+/// The closed-form capped mixed-width convolution: the `nbins` output
+/// masses of `coarse ⊛ fine` on a grid of `width`-wide buckets anchored at
+/// the sum of the operands' left edges, read straight off the coarse
+/// operand's piecewise-linear CDF `A` (measured from its own left edge):
+///
+/// `out[m] = Σ_j fine[j] · max(0, A(u_{m+1,j}) − A(u_{m,j}))`,
+/// `u_{m,j} = m·width − j·w_fine`.
+///
+/// `u` is the distance from the coarse operand's left edge to output knot
+/// `m` seen from fine bucket `j`'s left edge, so both anchors cancel
+/// exactly and never enter the arithmetic. For each fine bucket the knots
+/// ascend, so `A` is walked by one [`CdfScanner`] — casts, no libm — and
+/// the whole step costs `O(fine.len() · (nbins + coarse.len()))` whatever
+/// the ratio of the two widths: no fine-lattice projection, no product
+/// grid, no pooled temporary. Zero fine masses are skipped (as every
+/// redistribution in the crate skips `p <= 0.0`), and the `max(0, ·)`
+/// keeps a one-ULP non-monotone pair of `A` evaluations from writing a
+/// negative mass that `Histogram::new` would reject.
+///
+/// `out` is cleared and zero-filled to `nbins`; the masses written are
+/// raw (they sum to one up to rounding, pending the caller's single
+/// normalization). Per output slot the additions run in ascending `j` —
+/// bit-identical to the prefix-re-summing scalar twin
+/// [`crate::reference::accumulate_direct_capped_ref`].
+pub(crate) fn accumulate_direct_capped(
+    coarse: &[f64],
+    w_coarse: f64,
+    fine: &[f64],
+    w_fine: f64,
+    width: f64,
+    nbins: usize,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(nbins, 0.0);
+    let cdf = HistogramView::from_raw(0.0, w_coarse, coarse);
+    for (j, &pb) in fine.iter().enumerate() {
+        if pb <= 0.0 {
+            continue;
+        }
+        let y = j as f64 * w_fine;
+        let mut scan = CdfScanner::new(cdf);
+        // `u_{0,j} = -y <= 0`: every sweep starts at `A = 0`.
+        let mut lo = 0.0;
+        for (m, slot) in out.iter_mut().enumerate() {
+            let hi = scan.cdf((m + 1) as f64 * width - y);
+            *slot += pb * (hi - lo).max(0.0);
+            lo = hi;
+        }
     }
 }
 

@@ -40,8 +40,8 @@
 //! # Kernels and the bit-identity contract
 //!
 //! The hot inner loops (convolution multiply-accumulate, the fused
-//! accumulate-and-cap, CDF/quantile/moment scans) run as chunked,
-//! branch-free kernels. On the default build every kernel is
+//! accumulate-and-cap, the closed-form capped mixed-width convolution,
+//! CDF/quantile/moment scans) run as chunked, branch-free kernels. On the default build every kernel is
 //! **bit-for-bit identical** to the retained scalar reference
 //! implementation ([`mod@reference`], `#[doc(hidden)]`): the only
 //! transformations used are accumulation-order-preserving (unrolling
@@ -54,7 +54,12 @@
 //! [`CdfScanner`] exposes the incremental CDF evaluation (for monotone
 //! query sweeps) that the dominance and envelope checks run on, and
 //! [`ConvRoute`] reports which convolution path ran — including the
-//! shared-lattice fast route the engine counts as `lattice_fast_path`.
+//! shared-lattice fast route the engine counts as `lattice_fast_path`
+//! and `DirectCapped`, the closed-form route every search convolution
+//! takes (a capped mixed-width step reads its output masses straight off
+//! the coarser operand's CDF instead of projecting onto the finer
+//! lattice; same output grid to the bit, CDF within a derived bound of
+//! the projecting pipeline — see the `convolve` module docs).
 //!
 //! # Examples
 //!

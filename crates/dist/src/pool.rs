@@ -25,11 +25,16 @@
 //! thread-local convolution scratch, which kept its high-water-mark
 //! allocation alive forever on every thread that ever routed.
 //!
-//! Since the fused accumulate-and-cap kernel landed (see
-//! `crate::kernels`), the equal-width capped convolution no longer
-//! checks a product-grid temporary out of the pool at all — the pool's
-//! remaining customers on the hot path are the output buffers themselves
-//! and the mismatched-width projection temporaries.
+//! Neither capped convolution checks a temporary out of the pool (the
+//! equal-width one runs the fused accumulate-and-cap kernel, the
+//! mixed-width one the closed-form kernel — see `crate::kernels`), so the
+//! pool's only customers on the hot path are the output buffers
+//! themselves. That matters for retention, not just speed: buffers are
+//! interchangeable, so while the mixed-width step still drew its
+//! ≈424-slot projection and ≈443-slot product grid from the same free
+//! list, every recycled 20-slot label payload ratcheted up to grid
+//! capacity ([`HistogramPool::retained_slots`] is the diagnostic that
+//! shows it).
 
 use crate::error::DistError;
 use crate::histogram::{redistribute_into, Histogram, HistogramView};
@@ -159,6 +164,14 @@ impl HistogramPool {
     /// Buffers currently parked on the free list.
     pub fn free_buffers(&self) -> usize {
         self.free.len()
+    }
+
+    /// Total capacity, in `f64` slots, of the parked buffers — the memory
+    /// an idle pool holds on to (diagnostic: a pool whose buffers also
+    /// serve as grid-sized temporaries retains grid-sized capacity behind
+    /// every payload).
+    pub fn retained_slots(&self) -> usize {
+        self.free.iter().map(Vec::capacity).sum()
     }
 }
 

@@ -10,6 +10,14 @@
 //! the module is `#[doc(hidden)]` and exists only for differential
 //! testing and benchmarking.
 //!
+//! The closed-form capped mixed-width kernel has two entries here. Its
+//! scalar twin [`accumulate_direct_capped_ref`] carries the bitwise
+//! contract like every other pair. The projecting pipeline it replaced is
+//! kept as [`convolve_bounded_projected_ref`]: the two are *not* bitwise
+//! equal (the closed form skips the chord-smoothing of the fine lattice),
+//! so the suite pins them to a bit-identical output grid and the derived
+//! CDF bound instead.
+//!
 //! One deliberate exception to "verbatim": the projection bin-count
 //! tolerance is shared with production via
 //! `crate::kernels::projection_bins`. That replaced a magnitude-blind
@@ -127,10 +135,40 @@ pub fn convolve_into_ref(
     }
 }
 
-/// The historical [`crate::convolve_bounded_into`]: the capped aligned
-/// path materializes the full product grid in a pooled temporary and
-/// redistributes it — exactly what the fused kernel must reproduce
-/// bit-for-bit without the temporary.
+/// Scalar twin of `crate::kernels::accumulate_direct_capped`: the same
+/// `u`, `t` and interpolation expressions, but every `A(u)` is a one-shot
+/// [`cdf_ref`] that re-sums its prefix from `0.0` instead of carrying it
+/// across ascending knots (clears and zero-fills `out` to `nbins` first).
+pub fn accumulate_direct_capped_ref(
+    coarse: &[f64],
+    w_coarse: f64,
+    fine: &[f64],
+    w_fine: f64,
+    width: f64,
+    nbins: usize,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(nbins, 0.0);
+    let a = |u: f64| cdf_ref(0.0, w_coarse, coarse, u);
+    for (m, slot) in out.iter_mut().enumerate() {
+        for (j, &pb) in fine.iter().enumerate() {
+            if pb <= 0.0 {
+                continue;
+            }
+            let y = j as f64 * w_fine;
+            let hi = a((m + 1) as f64 * width - y);
+            let lo = a(m as f64 * width - y);
+            *slot += pb * (hi - lo).max(0.0);
+        }
+    }
+}
+
+/// Reference twin of [`crate::convolve_bounded_into`]: scalar MAC and
+/// projection, the capped aligned path materializing the full product
+/// grid in a pooled temporary and redistributing it (what the fused
+/// kernel reproduces bit-for-bit without the temporary), the capped
+/// mismatched path through [`accumulate_direct_capped_ref`].
 ///
 /// # Errors
 /// [`DistError::ZeroBins`] when `max_bins == 0`.
@@ -145,8 +183,31 @@ pub fn convolve_bounded_into_ref(
         return Err(DistError::ZeroBins);
     }
     if a.width() != b.width() {
-        convolve_into_ref(a, b, out, pool);
-        out.cap_bins(max_bins, pool)?;
+        let (fine, coarse) = if a.width() < b.width() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let w = fine.width();
+        let n = projection_bins(coarse.end() - coarse.start(), w)
+            .saturating_add(fine.num_bins() - 1);
+        if n <= max_bins {
+            convolve_into_ref(a, b, out, pool);
+            return Ok(());
+        }
+        let start = a.start() + b.start();
+        let span = (start + w * n as f64) - start;
+        let width = span / max_bins as f64;
+        accumulate_direct_capped_ref(
+            coarse.probs(),
+            coarse.width(),
+            fine.probs(),
+            w,
+            width,
+            max_bins,
+            out.reset_masses(),
+        );
+        out.set_grid(start, width);
         return Ok(());
     }
     let n = a.num_bins() + b.num_bins() - 1;
@@ -165,6 +226,27 @@ pub fn convolve_bounded_into_ref(
     pool.checkin(grid);
     out.set_grid(start, width);
     Ok(())
+}
+
+/// The pipeline the closed-form capped mixed-width kernel replaced:
+/// project the coarser operand onto the finer lattice, convolve there,
+/// normalize, re-bucket down to `max_bins`. Its grid sizes with the width
+/// ratio, so keep the operands' widths within a few decades. Retained for
+/// the tolerance differential (output grid bit-equal, CDF at output knots
+/// within the chord bound — `tests/proptest_kernels.rs`) and the layer
+/// bench; nothing in the library calls it.
+///
+/// # Errors
+/// [`DistError::ZeroBins`] when `max_bins == 0`.
+pub fn convolve_bounded_projected_ref(
+    a: &HistogramView<'_>,
+    b: &HistogramView<'_>,
+    max_bins: usize,
+    out: &mut HistogramBuf,
+    pool: &mut HistogramPool,
+) -> Result<(), DistError> {
+    convolve_into_ref(a, b, out, pool);
+    out.cap_bins(max_bins, pool)
 }
 
 /// Convolution that *forces* the `project_fine` route even for

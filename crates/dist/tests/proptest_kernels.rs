@@ -5,10 +5,17 @@
 //! spanning ~1e-300..1e3, and bucket caps pinned to the degenerate ends
 //! (`1` and exactly `na + nb - 1`).
 //!
-//! Every assertion is on `to_bits()`: the default build promises the
-//! restructured kernels are *bitwise* transparent, not merely close.
-//! The suite also audits `PoolStats` after each operation — every
-//! checkout must be matched by a checkin, fused path or not.
+//! Every kernel-vs-twin assertion is on `to_bits()`: the default build
+//! promises the restructured kernels are *bitwise* transparent, not
+//! merely close. The suite also audits `PoolStats` after each operation —
+//! every checkout must be matched by a checkin, fused path or not.
+//!
+//! The closed-form capped mixed-width kernel is pinned three ways:
+//! bitwise against its scalar twin, against the projecting pipeline it
+//! replaced (`convolve_bounded_projected_ref`: output grid bit-equal, CDF
+//! at every output knot within the derived chord bound), and by the
+//! algebra the router leans on (non-negative unit mass, commutativity,
+//! CDF-order monotonicity, no pool traffic).
 //!
 //! The shared-lattice fast path gets its own soundness argument here:
 //! on exact (dyadic) grids, skipping the projection must be
@@ -19,11 +26,13 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use srt_dist::dominance::dominates_with_margin_shifted_views;
 use srt_dist::reference::{
-    accumulate_aligned_ref, cdf_ref, convolve_bounded_into_ref, convolve_into_ref,
-    convolve_via_projection_ref, dominates_with_margin_shifted_ref, quantile_ref,
-    redistribute_into_ref,
+    accumulate_aligned_ref, cdf_ref, convolve_bounded_into_ref, convolve_bounded_projected_ref,
+    convolve_into_ref, convolve_via_projection_ref, dominates_with_margin_shifted_ref,
+    quantile_ref, redistribute_into_ref,
 };
-use srt_dist::{convolve_bounded_into, convolve_into, ConvRoute, Histogram, HistogramPool};
+use srt_dist::{
+    convolve_bounded, convolve_bounded_into, convolve_into, ConvRoute, Histogram, HistogramPool,
+};
 
 // ---------------------------------------------------------------------
 // Adversarial generators
@@ -89,6 +98,56 @@ fn arb_aligned_pair() -> impl Strategy<Value = (Histogram, Histogram)> {
                 Histogram::new(sa, w, ma).expect("valid"),
                 Histogram::new(sb, w, mb).expect("valid"),
             )
+        })
+}
+
+/// A mixed-width pair whose widths stay within ~2.5 decades of each
+/// other (the retained projecting pipeline sizes its grid by the ratio),
+/// from nearly equal — where the chord bound is loosest — upward.
+fn arb_mixed_pair() -> impl Strategy<Value = (Histogram, Histogram)> {
+    (
+        arb_adversarial(),
+        0.0f64..500.0,
+        0usize..3,
+        0.0f64..1.0,
+        adversarial_masses(24),
+    )
+        .prop_map(|(a, sb, regime, u, mb)| {
+            let ratio = match regime {
+                0 => 1.0001 + u * 0.5,
+                1 => 1.5 + u * 20.0,
+                _ => 20.0 + u * 300.0,
+            };
+            let b = Histogram::new(sb, a.width() / ratio, mb).expect("valid");
+            (a, b)
+        })
+}
+
+/// Two mass rows of one length whose CDFs are ordered at every knot —
+/// and, both being piecewise linear on one grid, everywhere: the knotwise
+/// max and min of two arbitrary CDFs, differenced back into masses.
+fn arb_cdf_ordered_masses(max: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (1..max)
+        .prop_flat_map(|n| {
+            (
+                proptest::collection::vec(1e-6f64..1.0, n),
+                proptest::collection::vec(0.0f64..1.0, n),
+            )
+        })
+        .prop_filter("needs positive mass", |(_, y)| y.iter().any(|&p| p > 0.0))
+        .prop_map(|(x, y)| {
+            let (tx, ty): (f64, f64) = (x.iter().sum(), y.iter().sum());
+            let (mut cx, mut cy, mut hi_prev, mut lo_prev) = (0.0, 0.0, 0.0f64, 0.0f64);
+            let (mut upper, mut lower) = (Vec::new(), Vec::new());
+            for (px, py) in x.iter().zip(&y) {
+                cx += px / tx;
+                cy += py / ty;
+                upper.push(cx.max(cy) - hi_prev);
+                lower.push(cx.min(cy) - lo_prev);
+                hi_prev = cx.max(cy);
+                lo_prev = cx.min(cy);
+            }
+            (upper, lower)
         })
 }
 
@@ -229,15 +288,115 @@ proptest! {
             "cap routing disagrees: n = {}, cap = {}", n, cap);
     }
 
-    /// Mixed-width bounded convolution (projection + cap) against the
-    /// reference, same cap sweep.
+    /// Mixed-width bounded convolution against the reference, same cap
+    /// sweep: the projecting route when the projected result fits the
+    /// cap, otherwise the closed-form kernel against its scalar twin
+    /// (prefix re-summed per evaluation) — bitwise either way.
     #[test]
     fn bounded_projection_matches_reference(a in arb_adversarial(),
                                             b in arb_adversarial(),
                                             cap in 1usize..24) {
         prop_assume!(a.width() != b.width());
         let route = diff_bounded(&a, &b, cap)?;
-        prop_assert!(route.projected());
+        prop_assert!(route == ConvRoute::Projected || route == ConvRoute::DirectCapped);
+    }
+
+    /// The closed-form kernel against the projecting pipeline it
+    /// replaced: the output grid is `to_bits`-equal, and the cumulative
+    /// mass at every output knot stays within the derived chord bound
+    /// `(w_fine / w_coarse) · max_i |p_i − p_{i−1}| / 4` (`p` the coarse
+    /// masses, `p_{−1} = p_n = 0`).
+    #[test]
+    fn direct_capped_stays_within_the_chord_bound_of_the_projected_pipeline(
+        pair in arb_mixed_pair(),
+        flip in 0usize..2,
+        cap in 1usize..24) {
+        let (coarse, fine) = pair;
+        let (a, b) = if flip == 1 { (&fine, &coarse) } else { (&coarse, &fine) };
+
+        let mut pool = HistogramPool::new();
+        let mut out = pool.checkout();
+        let route = convolve_bounded_into(&a.view(), &b.view(), cap, &mut out, &mut pool)
+            .expect("positive cap");
+        let direct = out.into_histogram().expect("valid");
+        let mut out = pool.checkout();
+        convolve_bounded_projected_ref(&a.view(), &b.view(), cap, &mut out, &mut pool)
+            .expect("positive cap");
+        let projected = out.into_histogram().expect("valid");
+
+        prop_assert_eq!(direct.start().to_bits(), projected.start().to_bits(), "start differs");
+        prop_assert_eq!(direct.width().to_bits(), projected.width().to_bits(), "width differs");
+        prop_assert_eq!(direct.num_bins(), projected.num_bins(), "bin count differs");
+        if route == ConvRoute::Projected {
+            // Fits the cap: both ran the projecting route.
+            assert_bits_eq(&direct, &projected)?;
+        } else {
+            prop_assert_eq!(route, ConvRoute::DirectCapped);
+            let p = coarse.probs();
+            let kink = (0..=p.len())
+                .map(|i| {
+                    let left = if i == 0 { 0.0 } else { p[i - 1] };
+                    let right = if i == p.len() { 0.0 } else { p[i] };
+                    (right - left).abs()
+                })
+                .fold(0.0, f64::max);
+            let bound = fine.width() / coarse.width() * kink / 4.0 + 1e-12;
+            let (mut cd, mut cp) = (0.0, 0.0);
+            for (m, (x, y)) in direct.probs().iter().zip(projected.probs()).enumerate() {
+                cd += x;
+                cp += y;
+                prop_assert!((cd - cp).abs() <= bound,
+                    "knot {}: |{} - {}| exceeds the bound {}", m + 1, cd, cp, bound);
+            }
+        }
+    }
+
+    /// The algebra the router leans on, on the closed-form route:
+    /// non-negative masses summing to one, bitwise commutativity, no pool
+    /// traffic, and CDF-order monotonicity — two coarse operands on one
+    /// grid with `A₁ ≥ A₂` everywhere give results on one grid with the
+    /// order kept at every knot (what `ConvGated` and the plain CDF bound
+    /// rely on).
+    #[test]
+    fn direct_capped_keeps_mass_commutes_and_preserves_cdf_order(
+        fine in arb_adversarial(),
+        start in 0.0f64..500.0,
+        ratio in 1.01f64..400.0,
+        ordered in arb_cdf_ordered_masses(16),
+        cap in 1usize..24) {
+        let (upper, lower) = ordered;
+        prop_assume!(upper.len() + fine.num_bins() > cap);
+        let w = fine.width() * ratio;
+        let a1 = Histogram::new(start, w, upper).expect("valid");
+        let a2 = Histogram::new(start, w, lower).expect("valid");
+
+        let mut pool = HistogramPool::new();
+        let mut run = |a: &Histogram, b: &Histogram| {
+            let mut out = pool.checkout();
+            let route = convolve_bounded_into(&a.view(), &b.view(), cap, &mut out, &mut pool)
+                .expect("positive cap");
+            assert_eq!(route, ConvRoute::DirectCapped);
+            out.into_histogram().expect("valid")
+        };
+        let (r1, r2) = (run(&a1, &fine), run(&a2, &fine));
+        let flipped = run(&fine, &a1);
+        // The three output buffers are the pool's only checkouts.
+        prop_assert_eq!(pool.stats().mints + pool.stats().reuses, 3);
+
+        assert_bits_eq(&r1, &flipped)?;
+        assert_bits_eq(&r1, &convolve_bounded(&a1, &fine, cap).expect("positive cap"))?;
+        for r in [&r1, &r2] {
+            prop_assert!(r.probs().iter().all(|&p| p >= 0.0));
+            prop_assert!((r.probs().iter().sum::<f64>() - 1.0).abs() <= 1e-12);
+        }
+        prop_assert_eq!(r1.start().to_bits(), r2.start().to_bits());
+        prop_assert_eq!(r1.width().to_bits(), r2.width().to_bits());
+        let (mut c1, mut c2) = (0.0, 0.0);
+        for (m, (x, y)) in r1.probs().iter().zip(r2.probs()).enumerate() {
+            c1 += x;
+            c2 += y;
+            prop_assert!(c1 >= c2 - 1e-12, "order lost at knot {}: {} < {}", m + 1, c1, c2);
+        }
     }
 
     /// The extracted per-bucket redistribution against the historical
@@ -449,7 +608,7 @@ fn routes_classify_as_documented() {
     assert_eq!(route(&a, &off, 16, &mut pool), ConvRoute::Aligned);
     assert_eq!(route(&a, &off, 2, &mut pool), ConvRoute::AlignedCapped);
     assert_eq!(route(&a, &fine, 16, &mut pool), ConvRoute::Projected);
-    assert_eq!(route(&a, &fine, 2, &mut pool), ConvRoute::ProjectedCapped);
+    assert_eq!(route(&a, &fine, 2, &mut pool), ConvRoute::DirectCapped);
 
     for (r, lattice, projected, capped) in [
         (ConvRoute::Lattice, true, false, false),
@@ -457,7 +616,7 @@ fn routes_classify_as_documented() {
         (ConvRoute::Aligned, false, false, false),
         (ConvRoute::AlignedCapped, false, false, true),
         (ConvRoute::Projected, false, true, false),
-        (ConvRoute::ProjectedCapped, false, true, true),
+        (ConvRoute::DirectCapped, false, false, true),
     ] {
         assert_eq!(r.lattice_hit(), lattice, "{r:?}");
         assert_eq!(r.projected(), projected, "{r:?}");

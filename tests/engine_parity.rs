@@ -412,6 +412,56 @@ fn shared_lattice_fast_path_fires_and_preserves_routes() {
     );
 }
 
+/// An edge whose observed travel time never varies fits as a marginal of
+/// `1e-9`-wide buckets. Convolving a label with it used to project the
+/// label onto that lattice — ~10¹¹ slots, a failed allocation, and a
+/// process abort that `route_with`'s `catch_unwind` cannot contain. The
+/// closed-form capped convolution never builds that lattice.
+#[test]
+fn constant_time_edge_is_routed_across() {
+    use stochastic_routing::dist::{empirical, Histogram};
+
+    let (world, model) = fixture();
+    let free = EngineBuilder::new(cost())
+        .config(RouterConfig::default())
+        .build();
+    // Freeze the middle edge of the workload's longest route, so labels
+    // are convolved both into and out of the constant marginal.
+    let (q, edges) = workload(8)
+        .into_iter()
+        .filter_map(|q| Some((q, free.route(&q).ok()?.path?.edges)))
+        .max_by_key(|(_, edges)| edges.len())
+        .expect("the workload is routable");
+    assert!(edges.len() >= 3, "fixture routes are too short to cross an edge");
+    let frozen = edges[edges.len() / 2];
+
+    let marginals: Vec<Histogram> = world
+        .graph
+        .edge_ids()
+        .map(|e| {
+            let m = world.ground_truth.marginal(e);
+            if e == frozen {
+                empirical::from_samples(&[m.mean(); 50], m.num_bins()).expect("constant samples fit")
+            } else {
+                m.clone()
+            }
+        })
+        .collect();
+    for policy in [CombinePolicy::AlwaysConvolve, CombinePolicy::Hybrid] {
+        let cost = HybridCost::new(&world.graph, model, marginals.clone(), policy);
+        let shim = BudgetRouter::new(&cost, RouterConfig::default());
+        let engine = EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build();
+        let got = engine.route(&q).expect("workload queries are valid");
+        let expected = shim.route(q.source, q.target, q.budget_s, None);
+        assert_identical(&got, &expected, &format!("{policy:?} across a frozen edge"));
+        assert!(got.stats.completed);
+        let path = got.path.expect("still routable");
+        assert!(path.edges.contains(&frozen), "{policy:?}: route avoids the frozen edge");
+    }
+}
+
 #[test]
 fn zero_budget_is_valid_and_takes_the_degenerate_path() {
     // A budget of exactly 0.0 is finite and answerable (probability 0),

@@ -153,6 +153,47 @@ fn warm_search_context_replays_without_minting() {
     assert!(ctx.pool_stats().reuses > 0);
 }
 
+/// A warm context parks payload-sized buffers only. Pool buffers are
+/// interchangeable, so while the mixed-width convolution still drew its
+/// fine-lattice projection and product grid (hundreds of slots) from the
+/// pool the label payloads live in, every recycled `max_bins`-slot payload
+/// buffer ratcheted up to grid capacity — the memory behind the
+/// benchmark's `engine_long` peak RSS. No search-time operator checks out
+/// a temporary any more; this pins that it stays so.
+#[test]
+fn warm_context_retains_payload_sized_buffers_only() {
+    let (world, model) = fixture();
+    let cost = HybridCost::from_ground_truth(world, model, CombinePolicy::Hybrid);
+    let engine = EngineBuilder::new(cost)
+        .config(RouterConfig::default())
+        .build();
+    let queries: Vec<Query> = QueryGenerator::new(0xA110C)
+        .generate(&world.graph, &world.model, DistanceCategory::OneToFive, 16)
+        .iter()
+        .map(Query::from)
+        .collect();
+
+    let mut ctx = engine.new_context();
+    let pass = |ctx: &mut _| {
+        for q in &queries {
+            engine.route_with(q, ctx).expect("valid");
+        }
+    };
+    pass(&mut ctx); // cold
+    pass(&mut ctx); // first warm pass
+    let warm_mints = ctx.pool_stats().mints;
+    pass(&mut ctx); // second warm pass
+    assert_eq!(ctx.pool_stats().mints, warm_mints, "second warm pass minted");
+
+    let (free, slots) = (ctx.pool().free_buffers(), ctx.pool().retained_slots());
+    assert!(free > 0, "a warm context parks its payload buffers");
+    assert!(
+        slots <= free * 4 * model.bins,
+        "{free} parked buffers retain {slots} slots (max_bins = {})",
+        model.bins
+    );
+}
+
 /// Pool counters surface through `EngineStats` snapshots and reset with
 /// them; per-query `SearchStats` are unaffected by pooling.
 #[test]
