@@ -8,10 +8,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use srt_bench::tiny_context;
 use srt_core::routing::baseline::ExpectedTimeBaseline;
 use srt_core::routing::{
-    BatchExecutor, BoundMode, BudgetRouter, DominanceMode, EngineBuilder, RouterConfig,
+    BatchExecutor, BoundMode, DominanceMode, EngineBuilder, Query, RouterConfig, RoutingEngine,
 };
 use srt_core::{CombinePolicy, HybridCost};
-use srt_synth::{DistanceCategory, Query, QueryGenerator};
+use srt_synth::{DistanceCategory, QueryGenerator};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,13 +19,20 @@ fn queries_for(cat: DistanceCategory, n: usize) -> Vec<Query> {
     let ctx = tiny_context();
     let mut qg = QueryGenerator::new(0xBE7C);
     qg.generate(&ctx.world.graph, &ctx.world.model, cat, n)
+        .iter()
+        .map(Query::from)
+        .collect()
+}
+
+fn engine(cost: &HybridCost, cfg: RouterConfig) -> RoutingEngine {
+    EngineBuilder::new(cost.clone()).config(cfg).build()
 }
 
 /// E6 — one bench per distance category (the efficiency table's rows).
 fn bench_efficiency_table(c: &mut Criterion) {
     let ctx = tiny_context();
     let cost = HybridCost::from_ground_truth(&ctx.world, &ctx.model, CombinePolicy::Hybrid);
-    let router = BudgetRouter::new(&cost, RouterConfig::default());
+    let router = engine(&cost, RouterConfig::default());
 
     let mut g = c.benchmark_group("routing/e6_efficiency");
     g.sample_size(20);
@@ -37,7 +44,7 @@ fn bench_efficiency_table(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(cat.label()), &queries, |b, qs| {
             b.iter(|| {
                 for q in qs {
-                    black_box(router.route(q.source, q.target, q.budget_s, None));
+                    black_box(router.route(q).unwrap());
                 }
             })
         });
@@ -49,7 +56,7 @@ fn bench_efficiency_table(c: &mut Criterion) {
 fn bench_quality_anytime(c: &mut Criterion) {
     let ctx = tiny_context();
     let cost = HybridCost::from_ground_truth(&ctx.world, &ctx.model, CombinePolicy::Hybrid);
-    let router = BudgetRouter::new(&cost, RouterConfig::default());
+    let router = engine(&cost, RouterConfig::default());
     let queries = queries_for(DistanceCategory::OneToFive, 5);
 
     let mut g = c.benchmark_group("routing/e5_anytime");
@@ -64,7 +71,8 @@ fn bench_quality_anytime(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(name), &queries, |b, qs| {
             b.iter(|| {
                 for q in qs {
-                    black_box(router.route(q.source, q.target, q.budget_s, limit));
+                    let q = Query { deadline: limit, ..*q };
+                    black_box(router.route(&q).unwrap());
                 }
             })
         });
@@ -116,11 +124,11 @@ fn bench_pruning_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("routing/a1_pruning_ablation");
     g.sample_size(10);
     for (name, cfg) in variants {
-        let router = BudgetRouter::new(&cost, cfg);
+        let router = engine(&cost, cfg);
         g.bench_with_input(BenchmarkId::from_parameter(name), &queries, |b, qs| {
             b.iter(|| {
                 for q in qs {
-                    black_box(router.route(q.source, q.target, q.budget_s, None));
+                    black_box(router.route(q).unwrap());
                 }
             })
         });
@@ -150,7 +158,7 @@ fn bench_dominance_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("routing/dominance_modes");
     g.sample_size(10);
     for (name, mode) in modes {
-        let router = BudgetRouter::new(
+        let router = engine(
             &cost,
             RouterConfig {
                 dominance: mode,
@@ -160,7 +168,7 @@ fn bench_dominance_modes(c: &mut Criterion) {
         );
         let (mut labels, mut pruned, mut compared, mut skipped) = (0usize, 0usize, 0usize, 0usize);
         for q in &queries {
-            let r = router.route(q.source, q.target, q.budget_s, None);
+            let r = router.route(q).unwrap();
             labels += r.stats.labels_created;
             pruned += r.stats.pruned_dominance;
             compared += r.stats.dominance_comparisons;
@@ -173,7 +181,7 @@ fn bench_dominance_modes(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(name), &queries, |b, qs| {
             b.iter(|| {
                 for q in qs {
-                    black_box(router.route(q.source, q.target, q.budget_s, None));
+                    black_box(router.route(q).unwrap());
                 }
             })
         });
@@ -202,7 +210,7 @@ fn bench_bound_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("routing/bound_modes");
     g.sample_size(10);
     for (name, bound) in modes {
-        let router = BudgetRouter::new(
+        let router = engine(
             &cost,
             RouterConfig {
                 bound,
@@ -213,7 +221,7 @@ fn bench_bound_modes(c: &mut Criterion) {
         );
         let (mut labels, mut pruned) = (0usize, 0usize);
         for q in &queries {
-            let r = router.route(q.source, q.target, q.budget_s, None);
+            let r = router.route(q).unwrap();
             labels += r.stats.labels_created;
             pruned += r.stats.pruned_bound;
         }
@@ -223,7 +231,7 @@ fn bench_bound_modes(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(name), &queries, |b, qs| {
             b.iter(|| {
                 for q in qs {
-                    black_box(router.route(q.source, q.target, q.budget_s, None));
+                    black_box(router.route(q).unwrap());
                 }
             })
         });
@@ -231,39 +239,22 @@ fn bench_bound_modes(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine-shaped serving surface: queries/sec for one-shot routing
-/// (the legacy shim, which re-resolves nothing but allocates scratch per
-/// router), sequential batches on a reused `SearchContext`, parallel
-/// batches on the worker pool, and the per-target bounds cache cold vs.
+/// The engine-shaped serving surface: queries/sec for sequential batches
+/// on a reused `SearchContext`, parallel batches on the worker pool,
+/// pooled vs. fresh contexts, and the per-target bounds cache cold vs.
 /// warm on a repeated-target workload. The cold/warm pair is the bench
 /// behind the acceptance gate "the warm bounds cache makes
 /// repeated-target batches measurably faster".
 fn bench_engine_throughput(c: &mut Criterion) {
     let ctx = tiny_context();
     let cost = HybridCost::from_ground_truth(&ctx.world, &ctx.model, CombinePolicy::Hybrid);
-    let queries = queries_for(DistanceCategory::ZeroToOne, 6);
-    let batch: Vec<srt_core::routing::Query> =
-        queries.iter().map(srt_core::routing::Query::from).collect();
+    let batch = queries_for(DistanceCategory::ZeroToOne, 6);
 
     let mut g = c.benchmark_group("routing/engine_throughput");
     g.sample_size(10);
 
-    // Legacy per-call API (the deprecated shim): the pre-redesign shape.
-    let shim = BudgetRouter::new(&cost, RouterConfig::default());
-    g.bench_with_input(BenchmarkId::from_parameter("per_call_shim"), &queries, |b, qs| {
-        b.iter(|| {
-            for q in qs {
-                black_box(shim.route(q.source, q.target, q.budget_s, None));
-            }
-        })
-    });
-
     // Engine, one lane: same search, warm bounds cache + reused scratch.
-    let engine = Arc::new(
-        EngineBuilder::new(cost.clone())
-            .config(RouterConfig::default())
-            .build(),
-    );
+    let engine = Arc::new(engine(&cost, RouterConfig::default()));
     let one_lane = BatchExecutor::new(Arc::clone(&engine), 1);
     one_lane.execute(batch.clone()); // warm the cache outside the timing loop
     g.bench_with_input(BenchmarkId::from_parameter("batch_seq_warm"), &batch, |b, qs| {

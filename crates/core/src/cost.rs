@@ -171,9 +171,9 @@ impl HybridCost {
     /// `out`, raw in the [`HistogramBuf`] sense (one normalization
     /// pending, applied by `out.into_histogram()`). Returns a
     /// [`CombineOutcome`] (which arm ran, and which convolution route).
-    /// The only temporary is the logistic gate's scratch row, drawn from
-    /// `pool` (a capped convolution, equal widths or not, checks nothing
-    /// out); with a warm pool the step performs zero heap allocation.
+    /// Neither arm takes a temporary from `pool` (a capped convolution,
+    /// equal widths or not, checks nothing out); with a warm pool the
+    /// step performs zero heap allocation.
     pub fn combine_into(
         &self,
         pre: &StagedPre<'_>,

@@ -71,7 +71,7 @@ pub use error::CoreError;
 pub use model::hybrid::HybridModel;
 pub use model::training::{train_hybrid, TrainReport, TrainingConfig};
 pub use routing::{
-    BatchExecutor, BoundMode, BudgetRouter, DominanceMode, EngineBuilder, EngineError, EngineStats,
-    ExecutorStats, ModelEpoch, OracleRouter, Query, RouteResult, RouterConfig, RoutingEngine,
-    SearchContext, SearchStats, StatsSnapshot, SwapError,
+    BatchExecutor, BoundMode, DominanceMode, EngineBuilder, EngineError, EngineStats, ExecutorStats,
+    ModelEpoch, OracleRouter, Query, RouteResult, RouterConfig, RoutingEngine, SearchContext,
+    SearchStats, StatsSnapshot, SwapError,
 };

@@ -3,40 +3,23 @@
 //! "A binary classifier that determines if we should use convolution or
 //! estimation at a specific intersection." Labels come from the ground
 //! truth: a pair is positive (use estimation) when its true sum diverges
-//! from the convolution of its marginals. Two backends are provided: a
-//! random-forest classifier (default) and logistic regression over
-//! standardized features (cheaper, used in ablations).
+//! from the convolution of its marginals. The gate is a random-forest
+//! classifier over the raw pair features.
 
 use crate::error::CoreError;
 use crate::model::features::FEATURE_COUNT;
 use serde::{Deserialize, Serialize};
 use srt_ml::dataset::Matrix;
 use srt_ml::forest::{ForestConfig, RandomForestClassifier};
-use srt_ml::linear::{LogisticConfig, LogisticRegression};
-use srt_ml::scaler::StandardScaler;
 
-/// Which learner backs the gate.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum ClassifierBackend {
-    /// Random forest over raw features (default).
-    Forest,
-    /// Logistic regression over standardized features.
-    Logistic,
-}
-
-#[derive(Clone, Debug, Serialize, Deserialize)]
-enum Inner {
-    Forest(RandomForestClassifier),
-    Logistic {
-        scaler: StandardScaler,
-        model: LogisticRegression,
-    },
-}
+/// Snapshot tag of the forest gate. Tag `1` was a logistic-regression
+/// gate that no longer exists; snapshots carrying it fail to decode.
+const FOREST_TAG: u8 = 0;
 
 /// A fitted dependence classifier.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DependenceClassifier {
-    inner: Inner,
+    forest: RandomForestClassifier,
     /// Decision threshold on `P(dependent)`.
     pub threshold: f64,
 }
@@ -47,7 +30,6 @@ impl DependenceClassifier {
     pub fn fit(
         features: &Matrix,
         labels: &[usize],
-        backend: ClassifierBackend,
         forest_cfg: &ForestConfig,
         seed: u64,
     ) -> Result<Self, CoreError> {
@@ -57,50 +39,17 @@ impl DependenceClassifier {
                 found: features.cols(),
             }));
         }
-        let inner = match backend {
-            ClassifierBackend::Forest => Inner::Forest(RandomForestClassifier::fit(
-                features, labels, 2, forest_cfg, seed,
-            )?),
-            ClassifierBackend::Logistic => {
-                let (scaler, scaled) = StandardScaler::fit_transform(features)?;
-                let model = LogisticRegression::fit(&scaled, labels, &LogisticConfig::default())?;
-                Inner::Logistic { scaler, model }
-            }
-        };
         Ok(DependenceClassifier {
-            inner,
+            forest: RandomForestClassifier::fit(features, labels, 2, forest_cfg, seed)?,
             threshold: 0.5,
         })
     }
 
     /// `P(dependent)` — probability that estimation should replace
-    /// convolution at this intersection.
+    /// convolution at this intersection. The class-scalar query allocates
+    /// nothing and is bit-identical to `predict_proba_row(features)[1]`.
     pub fn prob_dependent(&self, features: &[f64]) -> f64 {
-        match &self.inner {
-            // The class-scalar query allocates nothing and is
-            // bit-identical to `predict_proba_row(features)[1]`.
-            Inner::Forest(f) => f.predict_proba_class(features, 1),
-            Inner::Logistic { scaler, model } => {
-                let mut row = features.to_vec();
-                scaler.transform_row(&mut row);
-                model.predict_proba_row(&row)
-            }
-        }
-    }
-
-    /// [`DependenceClassifier::prob_dependent`] through a caller-provided
-    /// scratch row, so the hot combine loop queries the gate without any
-    /// allocation on either backend. Bit-identical to the plain form.
-    pub fn prob_dependent_scratch(&self, features: &[f64], scratch: &mut Vec<f64>) -> f64 {
-        match &self.inner {
-            Inner::Forest(f) => f.predict_proba_class(features, 1),
-            Inner::Logistic { scaler, model } => {
-                scratch.clear();
-                scratch.extend_from_slice(features);
-                scaler.transform_row(scratch);
-                model.predict_proba_row(scratch)
-            }
-        }
+        self.forest.predict_proba_class(features, 1)
     }
 
     /// The gate decision: `true` = use the estimation model.
@@ -108,34 +57,19 @@ impl DependenceClassifier {
         self.prob_dependent(features) >= self.threshold
     }
 
-    /// [`DependenceClassifier::use_estimation`] through a caller-provided
-    /// scratch row (see [`DependenceClassifier::prob_dependent_scratch`]).
-    pub fn use_estimation_scratch(&self, features: &[f64], scratch: &mut Vec<f64>) -> bool {
-        self.prob_dependent_scratch(features, scratch) >= self.threshold
+    /// [`DependenceClassifier::use_estimation`]; the scratch row is
+    /// unused (the forest gate allocates nothing) and kept for callers
+    /// written against the scratch-taking signature.
+    pub fn use_estimation_scratch(&self, features: &[f64], _scratch: &mut Vec<f64>) -> bool {
+        self.use_estimation(features)
     }
 
     /// Bounds on `P(dependent)` over *every* completion of the unknown
-    /// (`None`) features. For the forest backend the bounds come from an
-    /// interval walk of each tree
-    /// ([`srt_ml::forest::RandomForestClassifier::predict_proba_bounds_row`]);
-    /// the logistic backend has unbounded feature support, so any unknown
-    /// feature widens the bounds to `[0, 1]`.
+    /// (`None`) features, from an interval walk of each tree
+    /// ([`srt_ml::forest::RandomForestClassifier::predict_proba_bounds_row`]).
     pub fn prob_dependent_bounds(&self, features: &[Option<f64>]) -> (f64, f64) {
-        match &self.inner {
-            Inner::Forest(f) => {
-                let (lo, hi) = f.predict_proba_bounds_row(features);
-                (lo[1], hi[1])
-            }
-            Inner::Logistic { .. } => {
-                if features.iter().all(Option::is_some) {
-                    let row: Vec<f64> = features.iter().map(|f| f.unwrap()).collect();
-                    let p = self.prob_dependent(&row);
-                    (p, p)
-                } else {
-                    (0.0, 1.0)
-                }
-            }
-        }
+        let (lo, hi) = self.forest.predict_proba_bounds_row(features);
+        (lo[1], hi[1])
     }
 
     /// `true` when the gate provably answers *convolution* no matter what
@@ -145,29 +79,12 @@ impl DependenceClassifier {
         self.prob_dependent_bounds(features).1 < self.threshold
     }
 
-    /// The backend in use (diagnostic).
-    pub fn backend(&self) -> ClassifierBackend {
-        match &self.inner {
-            Inner::Forest(_) => ClassifierBackend::Forest,
-            Inner::Logistic { .. } => ClassifierBackend::Logistic,
-        }
-    }
-
     /// Appends the binary snapshot of the gate to `buf`.
     pub fn write_bytes(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
         buf.put_f64_le(self.threshold);
-        match &self.inner {
-            Inner::Forest(f) => {
-                buf.put_u8(0);
-                f.write_bytes(buf);
-            }
-            Inner::Logistic { scaler, model } => {
-                buf.put_u8(1);
-                scaler.write_bytes(buf);
-                model.write_bytes(buf);
-            }
-        }
+        buf.put_u8(FOREST_TAG);
+        self.forest.write_bytes(buf);
     }
 
     /// Decodes a gate written by [`DependenceClassifier::write_bytes`],
@@ -182,21 +99,15 @@ impl DependenceClassifier {
         if !threshold.is_finite() {
             return Err(corrupt("classifier threshold must be finite"));
         }
-        let tag = data.get_u8();
-        let inner = match tag {
-            0 => Inner::Forest(RandomForestClassifier::read_bytes(data)?),
-            1 => {
-                let scaler = StandardScaler::read_bytes(data)?;
-                let model = LogisticRegression::read_bytes(data)?;
-                Inner::Logistic { scaler, model }
-            }
-            other => {
-                return Err(CoreError::Ml(srt_ml::MlError::Corrupt(format!(
-                    "unknown classifier backend tag {other}"
-                ))))
-            }
-        };
-        Ok(DependenceClassifier { inner, threshold })
+        match data.get_u8() {
+            FOREST_TAG => Ok(DependenceClassifier {
+                forest: RandomForestClassifier::read_bytes(data)?,
+                threshold,
+            }),
+            other => Err(CoreError::Ml(srt_ml::MlError::Corrupt(format!(
+                "unknown classifier backend tag {other}"
+            )))),
+        }
     }
 }
 
@@ -229,9 +140,7 @@ mod tests {
     #[test]
     fn forest_backend_learns_the_gate() {
         let (x, y) = toy_training(180);
-        let c =
-            DependenceClassifier::fit(&x, &y, ClassifierBackend::Forest, &forest_cfg(), 1).unwrap();
-        assert_eq!(c.backend(), ClassifierBackend::Forest);
+        let c = DependenceClassifier::fit(&x, &y, &forest_cfg(), 1).unwrap();
         let mut f = vec![0.0; FEATURE_COUNT];
         f[19] = 170.0;
         assert!(c.use_estimation(&f));
@@ -240,38 +149,21 @@ mod tests {
     }
 
     #[test]
-    fn logistic_backend_learns_the_gate() {
-        let (x, y) = toy_training(180);
-        let c =
-            DependenceClassifier::fit(&x, &y, ClassifierBackend::Logistic, &forest_cfg(), 1).unwrap();
-        assert_eq!(c.backend(), ClassifierBackend::Logistic);
-        let mut f = vec![0.0; FEATURE_COUNT];
-        f[19] = 170.0;
-        f[0] = 53.0;
-        assert!(c.use_estimation(&f));
-        f[19] = 0.0;
-        assert!(!c.use_estimation(&f));
-    }
-
-    #[test]
     fn probabilities_are_probabilities() {
         let (x, y) = toy_training(100);
-        for backend in [ClassifierBackend::Forest, ClassifierBackend::Logistic] {
-            let c = DependenceClassifier::fit(&x, &y, backend, &forest_cfg(), 2).unwrap();
-            for i in 0..10 {
-                let mut f = vec![0.0; FEATURE_COUNT];
-                f[19] = i as f64 * 20.0;
-                let p = c.prob_dependent(&f);
-                assert!((0.0..=1.0).contains(&p));
-            }
+        let c = DependenceClassifier::fit(&x, &y, &forest_cfg(), 2).unwrap();
+        for i in 0..10 {
+            let mut f = vec![0.0; FEATURE_COUNT];
+            f[19] = i as f64 * 20.0;
+            let p = c.prob_dependent(&f);
+            assert!((0.0..=1.0).contains(&p));
         }
     }
 
     #[test]
     fn threshold_shifts_the_decision() {
         let (x, y) = toy_training(100);
-        let mut c =
-            DependenceClassifier::fit(&x, &y, ClassifierBackend::Forest, &forest_cfg(), 3).unwrap();
+        let mut c = DependenceClassifier::fit(&x, &y, &forest_cfg(), 3).unwrap();
         let mut f = vec![0.0; FEATURE_COUNT];
         f[19] = 90.0;
         // Threshold 0 accepts any probability; a threshold above 1 can
@@ -287,7 +179,6 @@ mod tests {
     fn wrong_width_is_rejected() {
         let x = Matrix::from_rows(&vec![vec![0.0; 5]; 10]).unwrap();
         let y = vec![0; 10];
-        assert!(DependenceClassifier::fit(&x, &y, ClassifierBackend::Forest, &forest_cfg(), 1)
-            .is_err());
+        assert!(DependenceClassifier::fit(&x, &y, &forest_cfg(), 1).is_err());
     }
 }

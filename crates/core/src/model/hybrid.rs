@@ -98,8 +98,7 @@ impl HybridModel {
     }
 
     /// In-place twin of [`HybridModel::combine`]: gates on the classifier
-    /// (through a pooled scratch row — no allocation on either backend)
-    /// and writes the combined masses into `out`, raw in the
+    /// (an allocation-free forest query) and writes the combined masses into `out`, raw in the
     /// [`HistogramBuf`] sense (one normalization pending). Promoting
     /// `out` is bit-identical to the value-returning form. `summary` must
     /// be [`PreSummary::of`]`(pre)` — passed in so a caller extending one
@@ -122,18 +121,7 @@ impl HybridModel {
         pool: &mut HistogramPool,
     ) -> CombineOutcome {
         let features = summary.assemble(g, prev_edge, next_edge, next_marginal);
-        // Only the logistic backend needs a scratch row; the (default)
-        // forest gate answers through the allocation-free class-scalar
-        // query, keeping the pool counters a pure label-payload measure.
-        let use_est = match self.classifier.backend() {
-            crate::model::ClassifierBackend::Forest => self.classifier.use_estimation(&features),
-            crate::model::ClassifierBackend::Logistic => {
-                let mut scratch = pool.checkout_vec();
-                let r = self.classifier.use_estimation_scratch(&features, &mut scratch);
-                pool.checkin(scratch);
-                r
-            }
-        };
+        let use_est = self.classifier.use_estimation(&features);
         let route = if use_est {
             self.estimate_into(pre, next_marginal, &features, out);
             None
@@ -176,7 +164,6 @@ impl HybridModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::classifier::ClassifierBackend;
     use crate::model::features::FEATURE_COUNT;
     use srt_graph::{EdgeAttrs, GraphBuilder, Point, RoadCategory};
     use srt_ml::dataset::Matrix;
@@ -216,8 +203,7 @@ mod tests {
         };
         let estimator = DistributionEstimator::fit(&x, &y, bins, &cfg, 1).unwrap();
         // Constant labels: tree is a single leaf predicting `label`.
-        let classifier =
-            DependenceClassifier::fit(&x, &labels, ClassifierBackend::Forest, &cfg, 1).unwrap();
+        let classifier = DependenceClassifier::fit(&x, &labels, &cfg, 1).unwrap();
         HybridModel {
             estimator,
             classifier,

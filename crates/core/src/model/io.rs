@@ -150,7 +150,6 @@ pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<HybridModel, CoreE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::classifier::ClassifierBackend;
     use crate::model::training::{train_hybrid, TrainingConfig};
     use srt_ml::forest::ForestConfig;
     use srt_synth::{SyntheticWorld, WorldConfig};
@@ -161,13 +160,12 @@ mod tests {
         W.get_or_init(|| SyntheticWorld::build(WorldConfig::tiny()))
     }
 
-    fn training(backend: ClassifierBackend) -> TrainingConfig {
+    fn training() -> TrainingConfig {
         TrainingConfig {
             train_pairs: 120,
             test_pairs: 40,
             min_obs: 5,
             bins: 10,
-            classifier_backend: backend,
             forest: ForestConfig {
                 n_trees: 6,
                 ..ForestConfig::default()
@@ -178,7 +176,7 @@ mod tests {
 
     #[test]
     fn forest_backed_model_round_trips() {
-        let (model, _) = train_hybrid(world(), &training(ClassifierBackend::Forest)).unwrap();
+        let (model, _) = train_hybrid(world(), &training()).unwrap();
         let bytes = to_bytes(&model);
         let model2 = from_bytes(&bytes).unwrap();
         assert_eq!(model2.bins, model.bins);
@@ -204,22 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn logistic_backed_model_round_trips() {
-        let (model, _) = train_hybrid(world(), &training(ClassifierBackend::Logistic)).unwrap();
-        let model2 = from_bytes(&to_bytes(&model)).unwrap();
-        let mut f = vec![0.0; crate::model::features::FEATURE_COUNT];
-        f[19] = 120.0;
-        assert_eq!(
-            model.classifier.prob_dependent(&f),
-            model2.classifier.prob_dependent(&f)
-        );
-        assert_eq!(model2.classifier.backend(), ClassifierBackend::Logistic);
-    }
-
-    #[test]
     fn version_one_snapshots_still_decode() {
         use bytes::BufMut;
-        let (model, _) = train_hybrid(world(), &training(ClassifierBackend::Forest)).unwrap();
+        let (model, _) = train_hybrid(world(), &training()).unwrap();
         // Hand-assemble the v1 layout: header + estimator + classifier,
         // no calibration trailer.
         let mut buf = bytes::BytesMut::new();
@@ -240,7 +225,7 @@ mod tests {
     #[test]
     fn version_two_snapshots_still_decode() {
         use bytes::BufMut;
-        let (model, _) = train_hybrid(world(), &training(ClassifierBackend::Forest)).unwrap();
+        let (model, _) = train_hybrid(world(), &training()).unwrap();
         // Hand-assemble the v2 layout: header + estimator + classifier +
         // calibration trailer, no envelope trailer.
         let mut buf = bytes::BytesMut::new();
@@ -262,7 +247,7 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_are_rejected() {
-        let (model, _) = train_hybrid(world(), &training(ClassifierBackend::Forest)).unwrap();
+        let (model, _) = train_hybrid(world(), &training()).unwrap();
         let bytes = to_bytes(&model);
 
         // Bad magic.
@@ -289,22 +274,22 @@ mod tests {
     #[test]
     fn routed_answers_survive_the_round_trip() {
         use crate::cost::{CombinePolicy, HybridCost};
-        use crate::routing::{BudgetRouter, RouterConfig};
+        use crate::routing::{EngineBuilder, Query, RouterConfig};
         use srt_synth::{DistanceCategory, QueryGenerator};
 
-        let (model, _) = train_hybrid(world(), &training(ClassifierBackend::Forest)).unwrap();
+        let (model, _) = train_hybrid(world(), &training()).unwrap();
         let model2 = from_bytes(&to_bytes(&model)).unwrap();
 
         let w = world();
         let cost1 = HybridCost::from_ground_truth(w, &model, CombinePolicy::Hybrid);
         let cost2 = HybridCost::from_ground_truth(w, &model2, CombinePolicy::Hybrid);
-        let r1 = BudgetRouter::new(&cost1, RouterConfig::default());
-        let r2 = BudgetRouter::new(&cost2, RouterConfig::default());
+        let r1 = EngineBuilder::new(cost1).config(RouterConfig::default()).build();
+        let r2 = EngineBuilder::new(cost2).config(RouterConfig::default()).build();
 
         let mut qg = QueryGenerator::new(31);
         for q in qg.generate(&w.graph, &w.model, DistanceCategory::ZeroToOne, 4) {
-            let a = r1.route(q.source, q.target, q.budget_s, None);
-            let b = r2.route(q.source, q.target, q.budget_s, None);
+            let a = r1.route(&Query::from(q)).unwrap();
+            let b = r2.route(&Query::from(q)).unwrap();
             assert_eq!(a.probability, b.probability);
         }
     }

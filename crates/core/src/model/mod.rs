@@ -14,7 +14,7 @@ pub mod training;
 
 pub use calibration::DominanceCalibration;
 pub use envelope::SupportEnvelope;
-pub use classifier::{ClassifierBackend, DependenceClassifier};
+pub use classifier::DependenceClassifier;
 pub use estimator::DistributionEstimator;
 pub use features::{
     pair_features, pair_features_partial, pair_features_view, PreSummary, FEATURE_COUNT,

@@ -13,7 +13,7 @@
 //! setting could not.
 
 use crate::error::CoreError;
-use crate::model::classifier::{ClassifierBackend, DependenceClassifier};
+use crate::model::classifier::DependenceClassifier;
 use crate::model::estimator::DistributionEstimator;
 use crate::model::features::pair_features;
 use crate::model::hybrid::HybridModel;
@@ -41,8 +41,6 @@ pub struct TrainingConfig {
     pub bins: usize,
     /// Forest configuration shared by estimator and gate.
     pub forest: ForestConfig,
-    /// Gate backend.
-    pub classifier_backend: ClassifierBackend,
     /// Seed for pair shuffling and model fitting.
     pub seed: u64,
 }
@@ -55,7 +53,6 @@ impl Default for TrainingConfig {
             min_obs: 15,
             bins: 20,
             forest: ForestConfig::default(),
-            classifier_backend: ClassifierBackend::Forest,
             seed: 0xC0DE,
         }
     }
@@ -197,13 +194,8 @@ pub fn train_hybrid(
     let labels_train: Vec<usize> = train.iter().map(|p| usize::from(p.dependent)).collect();
 
     let estimator = DistributionEstimator::fit(&x_train, &y_train, cfg.bins, &cfg.forest, cfg.seed)?;
-    let classifier = DependenceClassifier::fit(
-        &x_train,
-        &labels_train,
-        cfg.classifier_backend,
-        &cfg.forest,
-        cfg.seed ^ 0x5A5A,
-    )?;
+    let classifier =
+        DependenceClassifier::fit(&x_train, &labels_train, &cfg.forest, cfg.seed ^ 0x5A5A)?;
     let mut model = HybridModel {
         estimator,
         classifier,

@@ -241,17 +241,17 @@ mod tests {
 
     #[test]
     fn k_paths_never_beats_full_pbr() {
-        use crate::routing::{BudgetRouter, RouterConfig};
+        use crate::routing::{EngineBuilder, Query, RouterConfig};
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let engine = EngineBuilder::new(cost.clone()).config(RouterConfig::default()).build();
         let s = NodeId(2);
         let t = NodeId((world.graph.num_nodes() - 3) as u32);
         let exp = srt_graph::algo::dijkstra(&world.graph, s, Some(t), |e| cost.marginal(e).mean())
             .distance(t);
         let budget = exp * 1.05;
         let kp = KPathsBaseline::solve(&cost, s, t, budget, 8).unwrap();
-        let pbr = router.route(s, t, budget, None);
+        let pbr = engine.route(&Query::new(s, t, budget)).unwrap();
         // PBR explores distribution space directly; a path enumeration by
         // expected time cannot beat it (up to quantization noise).
         assert!(kp.best.probability <= pbr.probability + 2e-3);

@@ -1,5 +1,5 @@
-//! The probabilistic budget-routing search: configuration, per-query
-//! result types, and the legacy one-shot [`BudgetRouter`] shim.
+//! The probabilistic budget-routing search: configuration and per-query
+//! result types.
 //!
 //! The search itself is a label-correcting best-first search over
 //! partial-path labels `(vertex, travel-time distribution)`, with the
@@ -27,18 +27,13 @@
 //! pivot if the search has not terminated in time.
 //!
 //! The implementation lives in [`crate::routing::engine`]: the
-//! [`RoutingEngine`] resolves policies, certificates and per-target
-//! bounds once and serves queries from reusable [`SearchContext`]
-//! scratch. [`BudgetRouter`] survives as a thin compatibility shim over
-//! it.
+//! [`RoutingEngine`](crate::routing::RoutingEngine) resolves policies,
+//! certificates and per-target bounds once and serves queries from
+//! reusable [`SearchContext`](crate::routing::SearchContext) scratch.
 
-use crate::cost::HybridCost;
-use crate::routing::engine::{EngineBuilder, RoutingEngine, SearchContext};
-use crate::routing::policy::{BoundMode, ConvCertificate, DominanceMode, DominancePolicy};
+use crate::routing::policy::{BoundMode, DominanceMode};
 use srt_dist::Histogram;
 use srt_graph::algo::Path;
-use srt_graph::NodeId;
-use std::cell::RefCell;
 use std::time::Duration;
 
 /// Search configuration: a bucket/label budget plus one entry per
@@ -132,133 +127,15 @@ pub struct RouteResult {
     pub stats: SearchStats,
 }
 
-/// **Deprecated shim** — the legacy one-shot router API, now a thin
-/// wrapper over [`RoutingEngine`]. Prefer the engine: it is `Send +
-/// Sync`, shares one resolved configuration across threads, caches the
-/// per-target optimistic bounds, and serves batches from reusable
-/// scratch.
-///
-/// Migration table:
-///
-/// | Legacy (`BudgetRouter`)                         | Engine ([`RoutingEngine`])                                  |
-/// |-------------------------------------------------|-------------------------------------------------------------|
-/// | `BudgetRouter::new(&cost, cfg)`                 | `EngineBuilder::new(cost.clone()).config(cfg).build()`      |
-/// | `BudgetRouter::with_certificate(&cost, cfg, Some(c))` | `EngineBuilder::new(cost.clone()).config(cfg).certificate(c).build()` |
-/// | `router.route(s, t, b, None)`                   | `engine.route(&Query::new(s, t, b))?`                       |
-/// | `router.route(s, t, b, Some(x))`                | `engine.route(&Query::new(s, t, b).with_deadline(x))?`      |
-/// | hand-rolled `thread::scope` over queries        | `BatchExecutor::new(engine, lanes).execute(queries)`        |
-/// | (bounds recomputed per call)                    | cached per target; `engine.stats().bounds_cache_hits`       |
-///
-/// (`Query` is [`crate::routing::Query`].) Behavioural differences of
-/// the shim (kept for compatibility, dropped by the typed engine API):
-/// degenerate budgets (NaN/∞/negative) return a probability-zero result
-/// instead of an [`EngineError`](crate::routing::EngineError), and a
-/// zero deadline is accepted (returns the pivot immediately).
-pub struct BudgetRouter {
-    engine: RoutingEngine,
-    /// Reused across this router's sequential `route` calls; a
-    /// `RefCell` because the legacy API routes through `&self`.
-    scratch: RefCell<SearchContext>,
-}
-
-impl BudgetRouter {
-    /// Creates a router, resolving the configured pruning policies
-    /// against the cost oracle: the margin mode reads the model's
-    /// persisted calibration, and the certificate-consuming modes
-    /// (convolution-gated dominance, the certified bounds) precompute the
-    /// per-edge convolution certificate once for all queries.
-    ///
-    /// The cost oracle is cheap to clone (shared-ownership storage), so
-    /// the shim clones it into an owning [`RoutingEngine`].
-    pub fn new(cost: &HybridCost, cfg: RouterConfig) -> Self {
-        BudgetRouter {
-            engine: EngineBuilder::new(cost.clone()).config(cfg).build(),
-            scratch: RefCell::new(SearchContext::new()),
-        }
-    }
-
-    /// Like [`BudgetRouter::new`], but reusing a precomputed
-    /// [`ConvCertificate`] — the certificate depends only on the cost
-    /// oracle, so callers constructing many router configurations over
-    /// one oracle (ablations, the differential suite) compute it once
-    /// and clone it in. Pass `None` to let the engine decide (it computes
-    /// one itself only when the configuration needs it).
-    pub fn with_certificate(
-        cost: &HybridCost,
-        cfg: RouterConfig,
-        certificate: Option<ConvCertificate>,
-    ) -> Self {
-        let mut builder = EngineBuilder::new(cost.clone()).config(cfg);
-        if let Some(c) = certificate {
-            builder = builder.certificate(c);
-        }
-        BudgetRouter {
-            engine: builder.build(),
-            scratch: RefCell::new(SearchContext::new()),
-        }
-    }
-
-    /// Whether `cfg` contains a certificate-consuming policy.
-    pub fn wants_certificate(cfg: &RouterConfig) -> bool {
-        RoutingEngine::wants_certificate(cfg)
-    }
-
-    /// The engine this shim wraps (an escape hatch for incremental
-    /// migration).
-    pub fn engine(&self) -> &RoutingEngine {
-        &self.engine
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RouterConfig {
-        self.engine.config()
-    }
-
-    /// The resolved dominance policy (diagnostic: exposes the margin the
-    /// router actually prunes with). Owned: the engine's policy lives in
-    /// a swappable epoch, so references cannot be handed out.
-    pub fn dominance_policy(&self) -> DominancePolicy {
-        self.engine.dominance_policy()
-    }
-
-    /// The convolution certificate, when a configured policy required
-    /// computing one. Owned, for the same epoch-lifetime reason as
-    /// [`BudgetRouter::dominance_policy`].
-    pub fn certificate(&self) -> Option<ConvCertificate> {
-        self.engine.certificate()
-    }
-
-    /// Solves one budget query. `deadline` enables the anytime variant:
-    /// when it expires the incumbent (pivot) is returned and
-    /// `stats.completed` is `false`.
-    ///
-    /// Prefer [`RoutingEngine::route`] /
-    /// [`BatchExecutor::execute`](crate::routing::BatchExecutor::execute)
-    /// — see the migration table on [`BudgetRouter`].
-    pub fn route(
-        &self,
-        source: NodeId,
-        target: NodeId,
-        budget_s: f64,
-        deadline: Option<Duration>,
-    ) -> RouteResult {
-        self.engine.route_unchecked(
-            source,
-            target,
-            budget_s,
-            deadline,
-            &mut self.scratch.borrow_mut(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CombinePolicy;
+    use crate::cost::{CombinePolicy, HybridCost};
     use crate::model::training::{train_hybrid, TrainingConfig};
     use crate::routing::baseline::ExpectedTimeBaseline;
+    use crate::routing::engine::{EngineBuilder, EngineError, Query, RoutingEngine};
     use crate::HybridModel;
+    use srt_graph::NodeId;
     use srt_ml::forest::ForestConfig;
     use srt_synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};
 
@@ -284,13 +161,22 @@ mod tests {
         qg.generate(&world.graph, &world.model, DistanceCategory::ZeroToOne, n)
     }
 
+    fn engine(cost: &HybridCost, cfg: RouterConfig) -> RoutingEngine {
+        EngineBuilder::new(cost.clone()).config(cfg).build()
+    }
+
+    /// Routes a generated query (exhaustive, no deadline).
+    fn route(engine: &RoutingEngine, q: &srt_synth::Query) -> RouteResult {
+        engine.route(&Query::from(q)).expect("generated queries are valid")
+    }
+
     #[test]
     fn router_finds_a_valid_path() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let router = engine(&cost, RouterConfig::default());
         for q in queries(&world, 5) {
-            let r = router.route(q.source, q.target, q.budget_s, None);
+            let r = route(&router, &q);
             let path = r.path.expect("path exists");
             path.validate(&world.graph).unwrap();
             assert_eq!(path.source(), q.source);
@@ -304,9 +190,9 @@ mod tests {
     fn router_beats_or_matches_the_baseline() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let router = engine(&cost, RouterConfig::default());
         for q in queries(&world, 8) {
-            let r = router.route(q.source, q.target, q.budget_s, None);
+            let r = route(&router, &q);
             let base = ExpectedTimeBaseline::solve(&cost, q.source, q.target, q.budget_s)
                 .expect("baseline exists");
             assert!(
@@ -322,9 +208,9 @@ mod tests {
     fn returned_probability_matches_its_path() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let router = engine(&cost, RouterConfig::default());
         for q in queries(&world, 5) {
-            let r = router.route(q.source, q.target, q.budget_s, None);
+            let r = route(&router, &q);
             let path = r.path.unwrap();
             if path.is_empty() {
                 continue;
@@ -363,8 +249,8 @@ mod tests {
     fn source_equals_target() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
-        let r = router.route(NodeId(4), NodeId(4), 10.0, None);
+        let router = engine(&cost, RouterConfig::default());
+        let r = router.route(&Query::new(NodeId(4), NodeId(4), 10.0)).unwrap();
         assert_eq!(r.probability, 1.0);
         assert!(r.path.unwrap().is_empty());
         assert!(r.stats.completed);
@@ -374,11 +260,11 @@ mod tests {
     fn anytime_deadline_still_returns_the_pivot() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
-        let q = queries(&world, 1)[0];
-        // Zero deadline: must bail out immediately with the pivot (the
-        // shim keeps the legacy acceptance of zero deadlines).
-        let r = router.route(q.source, q.target, q.budget_s, Some(Duration::ZERO));
+        let router = engine(&cost, RouterConfig::default());
+        let q = Query::from(queries(&world, 1)[0]);
+        // The shortest deadline the engine accepts: the search may stop at
+        // its first deadline check, and must still answer with the pivot.
+        let r = router.route(&q.with_deadline(Duration::from_nanos(1))).unwrap();
         assert!(r.path.is_some(), "anytime must return the pivot");
         assert!(r.probability > 0.0);
     }
@@ -387,10 +273,12 @@ mod tests {
     fn anytime_never_beats_exhaustive() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let router = engine(&cost, RouterConfig::default());
         for q in queries(&world, 5) {
-            let full = router.route(q.source, q.target, q.budget_s, None);
-            let quick = router.route(q.source, q.target, q.budget_s, Some(Duration::ZERO));
+            let full = route(&router, &q);
+            let quick = router
+                .route(&Query::from(q).with_deadline(Duration::from_nanos(1)))
+                .unwrap();
             assert!(quick.probability <= full.probability + 1e-9);
         }
     }
@@ -399,15 +287,15 @@ mod tests {
     fn disabling_prunings_does_not_change_the_answer() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let full = BudgetRouter::new(&cost, RouterConfig::default());
-        let no_dom = BudgetRouter::new(
+        let full = engine(&cost, RouterConfig::default());
+        let no_dom = engine(
             &cost,
             RouterConfig {
                 dominance: DominanceMode::Off,
                 ..RouterConfig::default()
             },
         );
-        let no_shift = BudgetRouter::new(
+        let no_shift = engine(
             &cost,
             RouterConfig {
                 use_cost_shifting: false,
@@ -415,9 +303,9 @@ mod tests {
             },
         );
         for q in queries(&world, 3) {
-            let a = full.route(q.source, q.target, q.budget_s, None);
-            let b = no_dom.route(q.source, q.target, q.budget_s, None);
-            let c = no_shift.route(q.source, q.target, q.budget_s, None);
+            let a = route(&full, &q);
+            let b = route(&no_dom, &q);
+            let c = route(&no_shift, &q);
             // Margin dominance is calibrated-sound and cost shifting is a
             // pure re-parametrization: probabilities agree to numerical
             // tolerance.
@@ -430,11 +318,11 @@ mod tests {
     fn pruning_reduces_work() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let full = BudgetRouter::new(&cost, RouterConfig::default());
+        let full = engine(&cost, RouterConfig::default());
         // Same dominance as the default so the comparison isolates the
         // bound + pivot prunings (the legacy first-order heuristic can
         // over-prune and would confound the label counts).
-        let naive = BudgetRouter::new(
+        let naive = engine(
             &cost,
             RouterConfig {
                 bound: BoundMode::Off,
@@ -444,8 +332,8 @@ mod tests {
             },
         );
         let q = queries(&world, 1)[0];
-        let a = full.route(q.source, q.target, q.budget_s, None);
-        let b = naive.route(q.source, q.target, q.budget_s, None);
+        let a = route(&full, &q);
+        let b = route(&naive, &q);
         assert!(
             a.stats.labels_created <= b.stats.labels_created,
             "pruned {} vs naive {}",
@@ -461,14 +349,14 @@ mod tests {
         // exactly once, and compaction never changes the answer.
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::AlwaysConvolve);
-        let pruned = BudgetRouter::new(
+        let pruned = engine(
             &cost,
             RouterConfig {
                 dominance: DominanceMode::FirstOrder,
                 ..RouterConfig::default()
             },
         );
-        let unpruned = BudgetRouter::new(
+        let unpruned = engine(
             &cost,
             RouterConfig {
                 dominance: DominanceMode::Off,
@@ -477,7 +365,7 @@ mod tests {
         );
         let mut saw_discard = false;
         for q in queries(&world, 6) {
-            let r = pruned.route(q.source, q.target, q.budget_s, None);
+            let r = route(&pruned, &q);
             let s = r.stats;
             assert!(s.dominance_retired <= s.pruned_dominance,
                 "retired {} exceeds total dominance prunes {}",
@@ -488,7 +376,7 @@ mod tests {
 
             // Lazy marking + amortized compaction is answer-preserving
             // (first-order dominance is exact under pure convolution).
-            let u = unpruned.route(q.source, q.target, q.budget_s, None);
+            let u = route(&unpruned, &q);
             assert!(
                 (r.probability - u.probability).abs() < 1e-9,
                 "dominance changed the answer: {} vs {}",
@@ -501,7 +389,7 @@ mod tests {
         // Best-first order makes retirements rare: exercise them (and the
         // amortized compaction sweep) with an unordered search, where weak
         // labels are inserted before the strong ones that retire them.
-        let unordered = BudgetRouter::new(
+        let unordered = engine(
             &cost,
             RouterConfig {
                 bound: BoundMode::Off,
@@ -514,7 +402,7 @@ mod tests {
         let mut saw_retirement = false;
         let mut saw_compaction = false;
         for q in queries(&world, 4) {
-            let s = unordered.route(q.source, q.target, q.budget_s, None).stats;
+            let s = route(&unordered, &q).stats;
             assert!(s.dominance_retired <= s.pruned_dominance);
             assert!(s.dominance_retired <= s.labels_created);
             // A compaction sweep requires at least one retirement since
@@ -544,8 +432,8 @@ mod tests {
             .map(|_| Histogram::new(10.0, 1.0, vec![1.0]).unwrap())
             .collect();
         let cost = HybridCost::new(&g, &model, marginals, CombinePolicy::AlwaysConvolve);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
-        let r = router.route(c, a, 1000.0, None);
+        let router = engine(&cost, RouterConfig::default());
+        let r = router.route(&Query::new(c, a, 1000.0)).unwrap();
         assert_eq!(r.probability, 0.0);
         assert!(r.path.is_none());
         assert!(r.stats.completed);
@@ -555,14 +443,23 @@ mod tests {
     fn degenerate_budgets_answer_with_zero_probability() {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let router = engine(&cost, RouterConfig::default());
         let q = queries(&world, 1)[0];
+        // Zero is the one degenerate budget with an answer: probability
+        // zero, and a usable path is still reported when one exists.
+        let r = router.route(&Query::new(q.source, q.target, 0.0)).unwrap();
+        assert_eq!(r.probability, 0.0);
+        assert!(r.stats.completed);
+        assert!(r.path.is_some());
+        // NaN, infinite and negative budgets name no answerable query.
         for bad in [f64::NAN, f64::INFINITY, -5.0] {
-            let r = router.route(q.source, q.target, bad, None);
-            assert_eq!(r.probability, 0.0, "budget {bad}");
-            assert!(r.stats.completed);
-            // A usable path is still reported when one exists.
-            assert!(r.path.is_some());
+            assert!(
+                matches!(
+                    router.route(&Query::new(q.source, q.target, bad)),
+                    Err(EngineError::InvalidBudget { .. })
+                ),
+                "budget {bad}"
+            );
         }
     }
 
@@ -572,10 +469,10 @@ mod tests {
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
         // The default bound is the certified envelope, which consumes
         // the certificate (exact CDF bound on covered labels).
-        let default = BudgetRouter::new(&cost, RouterConfig::default());
+        let default = engine(&cost, RouterConfig::default());
         assert!(default.certificate().is_some());
         // Margin dominance with the optimistic bound needs none.
-        let optimistic = BudgetRouter::new(
+        let optimistic = engine(
             &cost,
             RouterConfig {
                 bound: BoundMode::Optimistic,
@@ -583,7 +480,7 @@ mod tests {
             },
         );
         assert!(optimistic.certificate().is_none(), "margin mode needs no certificate");
-        let gated = BudgetRouter::new(
+        let gated = engine(
             &cost,
             RouterConfig {
                 bound: BoundMode::Optimistic,
@@ -592,7 +489,7 @@ mod tests {
             },
         );
         assert!(gated.certificate().is_some());
-        let certified_bound = BudgetRouter::new(
+        let certified_bound = engine(
             &cost,
             RouterConfig {
                 bound: BoundMode::Certified,
@@ -612,7 +509,7 @@ mod tests {
         assert!(model.envelope.is_some(), "training attaches an envelope");
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
         let mk = |bound| {
-            BudgetRouter::new(
+            engine(
                 &cost,
                 RouterConfig {
                     bound,
@@ -628,9 +525,9 @@ mod tests {
         let mut env_saved = 0usize;
         let mut cert_saved = 0usize;
         for q in queries(&world, 6) {
-            let r = reference.route(q.source, q.target, q.budget_s, None);
-            let e = envelope.route(q.source, q.target, q.budget_s, None);
-            let c = certified.route(q.source, q.target, q.budget_s, None);
+            let r = route(&reference, &q);
+            let e = route(&envelope, &q);
+            let c = route(&certified, &q);
             assert!(r.stats.completed && e.stats.completed && c.stats.completed);
             // Soundness: the envelope bound never changes the answer.
             assert!(

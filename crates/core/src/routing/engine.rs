@@ -1,13 +1,11 @@
 //! The query-serving engine: an owning, `Send + Sync` routing service
 //! over one shared cost oracle.
 //!
-//! The paper defines its search per query, and the original
-//! [`BudgetRouter`](crate::routing::BudgetRouter) mirrored that: every
-//! `route()` call re-resolved policies, recomputed the reverse
-//! optimistic-bound Dijkstra, reallocated Pareto sets and re-solved the
-//! pivot baseline. A production service answers *many simultaneous
-//! queries against one model*, so this module factors the work by
-//! lifetime instead:
+//! The paper defines its search per query: resolve the prunings, run the
+//! reverse optimistic-bound Dijkstra, allocate Pareto sets and solve the
+//! pivot baseline, every time. A production service answers *many
+//! simultaneous queries against one model*, so this module factors that
+//! work by lifetime instead:
 //!
 //! * **per epoch** ([`ModelEpoch`], resolved by [`EngineBuilder::build`]
 //!   and again by every [`RoutingEngine::swap_model`]): policy
@@ -29,8 +27,8 @@
 //!   across queries so steady-state serving allocates no per-query
 //!   search state,
 //! * **per query** ([`Query`]): just the typed parameters, validated
-//!   up front into [`EngineError`] instead of the legacy silent
-//!   degenerate-result paths.
+//!   up front into [`EngineError`] so a caller holding `Ok` knows the
+//!   probability is meaningful.
 //!
 //! [`BatchExecutor`] serves a batch of queries on persistent lanes (work
 //! stealing, deterministic output order, one epoch pin per batch);
@@ -220,15 +218,14 @@ impl From<srt_synth::Query> for Query {
     }
 }
 
-/// Typed rejection of an invalid [`Query`] or configuration — the
-/// engine's replacement for the legacy API's silent degenerate results.
+/// Typed rejection of an invalid [`Query`] or configuration.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub enum EngineError {
     /// The budget is NaN, infinite, or negative; no meaningful on-time
     /// probability exists for it. (A budget of exactly `0.0` *is*
     /// answerable — the probability is zero, with the expected-time path
-    /// attached — so validation admits it and the search short-circuits
-    /// through the degenerate path.)
+    /// attached, or one when source and target coincide — so validation
+    /// admits it and the search short-circuits.)
     InvalidBudget {
         /// The offending budget.
         budget: f64,
@@ -1125,12 +1122,10 @@ impl RoutingEngine {
             }
         }
         // NaN and ±∞ name no budget at all; a *negative* budget names an
-        // impossible one. Both used to slip through to the degenerate
-        // probability-0 result (the negative case silently — the
-        // validation gap this check closes); the typed API rejects them
-        // so a caller holding `Ok` knows the probability is meaningful.
-        // Exactly 0.0 stays valid: it has a well-defined answer
-        // (probability zero on the expected-time path).
+        // impossible one. Rejecting them means a caller holding `Ok` knows
+        // the probability is meaningful. Exactly 0.0 stays valid: it has a
+        // well-defined answer (probability zero on the expected-time path,
+        // one when source and target coincide).
         if !query.budget_s.is_finite() || query.budget_s < 0.0 {
             return Err(EngineError::InvalidBudget {
                 budget: query.budget_s,
@@ -1192,14 +1187,7 @@ impl RoutingEngine {
     ) -> Result<RouteResult, EngineError> {
         self.validate_on(epoch, query)?;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.route_on(
-                epoch,
-                query.source,
-                query.target,
-                query.budget_s,
-                query.deadline,
-                ctx,
-            )
+            self.route_on(epoch, query, ctx)
         }));
         match outcome {
             Ok(result) => Ok(result),
@@ -1246,37 +1234,11 @@ impl RoutingEngine {
         result
     }
 
-    /// Solves one budget query with the legacy (pre-validation)
-    /// semantics: degenerate budgets answer with probability zero, a zero
-    /// deadline returns the pivot immediately. The deprecated
-    /// [`BudgetRouter`](crate::routing::BudgetRouter) shim calls this
-    /// directly so its behaviour is preserved bit for bit. Pins the
-    /// current epoch internally.
-    pub(crate) fn route_unchecked(
-        &self,
-        source: NodeId,
-        target: NodeId,
-        budget_s: f64,
-        deadline: Option<Duration>,
-        ctx: &mut SearchContext,
-    ) -> RouteResult {
-        let epoch = self.current_epoch();
-        self.route_on(&epoch, source, target, budget_s, deadline, ctx)
-    }
-
-    /// One query against an already-pinned epoch, with the pool-stats
-    /// diff folded into the aggregated counters.
-    fn route_on(
-        &self,
-        epoch: &ModelEpoch,
-        source: NodeId,
-        target: NodeId,
-        budget_s: f64,
-        deadline: Option<Duration>,
-        ctx: &mut SearchContext,
-    ) -> RouteResult {
+    /// One validated query against an already-pinned epoch, with the
+    /// pool-stats diff folded into the aggregated counters.
+    fn route_on(&self, epoch: &ModelEpoch, query: &Query, ctx: &mut SearchContext) -> RouteResult {
         let pool_before = ctx.pool.stats();
-        let result = self.route_inner(epoch, source, target, budget_s, deadline, ctx);
+        let result = self.route_inner(epoch, query, ctx);
         let pool_after = ctx.pool.stats();
         self.counters
             .pool_reuse
@@ -1290,25 +1252,40 @@ impl RoutingEngine {
     fn route_inner(
         &self,
         epoch: &ModelEpoch,
-        source: NodeId,
-        target: NodeId,
-        budget_s: f64,
-        deadline: Option<Duration>,
+        query: &Query,
         ctx: &mut SearchContext,
     ) -> RouteResult {
+        let &Query {
+            source,
+            target,
+            budget_s,
+            deadline,
+        } = query;
         let start_time = Instant::now();
         let g = epoch.cost.graph();
         let mut stats = SearchStats::default();
 
-        // Degenerate budgets: nothing arrives within a non-positive or
-        // non-finite budget, but the query is still answered (probability
-        // 0 on the expected-time path when one exists). `<= 0.0` matches
-        // that contract — a budget of exactly zero historically fell
-        // through to the full search, which burned a whole exploration to
-        // conclude the same probability-0 answer this path returns
-        // directly. (Through the validated API only `0.0` reaches here;
-        // the negative and non-finite cases serve the legacy shim.)
-        if !budget_s.is_finite() || budget_s <= 0.0 {
+        // Already there: the empty path arrives at time zero, which is
+        // within every valid budget, zero included.
+        if source == target {
+            stats.completed = true;
+            stats.elapsed = start_time.elapsed();
+            return self.record(RouteResult {
+                path: Some(Path {
+                    nodes: vec![source],
+                    edges: vec![],
+                }),
+                distribution: None,
+                probability: 1.0,
+                stats,
+            });
+        }
+
+        // A zero budget, the one degenerate budget validation admits:
+        // answered with probability 0 on the expected-time path when one
+        // exists. Running the full search would burn a whole exploration
+        // to conclude the same answer.
+        if budget_s <= 0.0 {
             stats.completed = true;
             stats.elapsed = start_time.elapsed();
             let baseline = ExpectedTimeBaseline::solve_with(
@@ -1323,20 +1300,6 @@ impl RoutingEngine {
                 probability: 0.0,
                 path: baseline.as_ref().map(|b| b.path.clone()),
                 distribution: baseline.and_then(|b| b.distribution),
-                stats,
-            });
-        }
-
-        if source == target {
-            stats.completed = true;
-            stats.elapsed = start_time.elapsed();
-            return self.record(RouteResult {
-                path: Some(Path {
-                    nodes: vec![source],
-                    edges: vec![],
-                }),
-                distribution: None,
-                probability: 1.0,
                 stats,
             });
         }
@@ -1429,7 +1392,7 @@ impl RoutingEngine {
 
         // Shared-lattice convolutions, accumulated locally and flushed
         // with one atomic add at each exit from the expansion loop —
-        // mirroring the pool-stats-diff pattern of `route_unchecked`.
+        // mirroring the pool-stats-diff pattern of `route_on`.
         let mut lattice_hits = 0u64;
         let flush_lattice = |c: &EngineStats, hits: u64| {
             if hits > 0 {

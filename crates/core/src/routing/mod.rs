@@ -7,8 +7,8 @@
 //! resolves pruning policies and certificates once, caches the
 //! per-target optimistic bounds, and serves typed [`Query`] values —
 //! singly or in [`BatchExecutor`] batches — from reusable [`SearchContext`]
-//! scratch; [`budget`] holds the search's configuration/result types and
-//! the deprecated one-shot [`BudgetRouter`] shim; [`policy`] factors the
+//! scratch, and is the only query entry point; [`budget`] holds the
+//! search's configuration and result types; [`policy`] factors the
 //! prunings into composable, individually-certifiable
 //! [`policy::PrunePolicy`] values; [`oracle`] provides the exhaustive
 //! enumeration router the differential tests certify pruning against;
@@ -22,7 +22,7 @@ pub mod oracle;
 pub mod policy;
 
 pub use baseline::{expected_time_path, ExpectedTimeBaseline, KPathsBaseline};
-pub use budget::{BudgetRouter, RouteResult, RouterConfig, SearchStats};
+pub use budget::{RouteResult, RouterConfig, SearchStats};
 pub use engine::{
     BatchExecutor, EngineBuilder, EngineError, EngineStats, ExecutorStats, ModelEpoch, Query,
     RoutingEngine, SearchContext, StatsSnapshot, SwapError, DEFAULT_BOUNDS_CACHE_CAPACITY,

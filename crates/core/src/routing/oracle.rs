@@ -266,7 +266,7 @@ mod tests {
     use super::*;
     use crate::cost::CombinePolicy;
     use crate::model::training::{train_hybrid, TrainingConfig};
-    use crate::routing::budget::BudgetRouter;
+    use crate::routing::engine::{EngineBuilder, Query};
     use crate::routing::policy::{BoundMode, DominanceMode};
     use crate::HybridModel;
     use srt_ml::forest::ForestConfig;
@@ -330,14 +330,14 @@ mod tests {
             use_pivot_init: false,
             ..RouterConfig::default()
         };
-        let router = BudgetRouter::new(&cost, cfg);
+        let engine = EngineBuilder::new(cost.clone()).config(cfg).build();
         let oracle = OracleRouter::from_config(&cost, &cfg);
         let mut certified = 0;
         for (s, t, budget) in tight_queries(world, &cost, 12) {
             let Some(o) = oracle.route(s, t, budget, 400_000) else {
                 continue; // walk space too large for this query
             };
-            let r = router.route(s, t, budget, None);
+            let r = engine.route(&Query::new(s, t, budget)).unwrap();
             assert!(r.stats.completed, "unpruned router must finish");
             assert!(
                 (r.probability - o.probability).abs() < 1e-9,

@@ -4,7 +4,10 @@
 use proptest::prelude::*;
 use srt_core::model::training::{train_hybrid, TrainingConfig};
 use srt_core::routing::baseline::ExpectedTimeBaseline;
-use srt_core::routing::{BoundMode, BudgetRouter, DominanceMode, RouterConfig};
+use srt_core::routing::{
+    BoundMode, DominanceMode, EngineBuilder, EngineError, Query, RouteResult, RouterConfig,
+    RoutingEngine,
+};
 use srt_core::{CombinePolicy, HybridCost, HybridModel};
 use srt_graph::NodeId;
 use srt_ml::forest::ForestConfig;
@@ -32,6 +35,14 @@ fn fixture() -> &'static (SyntheticWorld, HybridModel) {
     })
 }
 
+fn engine(cost: &HybridCost, cfg: RouterConfig) -> RoutingEngine {
+    EngineBuilder::new(cost.clone()).config(cfg).build()
+}
+
+fn route(engine: &RoutingEngine, src: NodeId, dst: NodeId, budget: f64) -> RouteResult {
+    engine.route(&Query::new(src, dst, budget)).expect("valid query")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -51,8 +62,8 @@ proptest! {
         prop_assume!(exp.is_finite());
         let budget = (exp * mult).max(1.0);
 
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
-        let r = router.route(src, dst, budget, None);
+        let router = engine(&cost, RouterConfig::default());
+        let r = route(&router, src, dst, budget);
         prop_assert!((0.0..=1.0).contains(&r.probability));
         prop_assert!(r.stats.completed);
 
@@ -80,9 +91,9 @@ proptest! {
             .distance(dst);
         prop_assume!(exp.is_finite());
 
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
-        let tight = router.route(src, dst, exp * m1, None).probability;
-        let loose = router.route(src, dst, exp * (m1 + extra), None).probability;
+        let router = engine(&cost, RouterConfig::default());
+        let tight = route(&router, src, dst, exp * m1).probability;
+        let loose = route(&router, src, dst, exp * (m1 + extra)).probability;
         // Quantization tolerance: re-binning can wobble by ~1e-3.
         prop_assert!(loose >= tight - 2e-3, "loose {loose} < tight {tight}");
     }
@@ -99,12 +110,16 @@ proptest! {
         prop_assume!(exp.is_finite());
         let budget = exp * 1.05;
 
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
-        let full = router.route(src, dst, budget, None).probability;
+        let router = engine(&cost, RouterConfig::default());
+        let full = route(&router, src, dst, budget).probability;
         let any = router
-            .route(src, dst, budget, Some(Duration::from_micros(micros)))
-            .probability;
-        prop_assert!(any <= full + 1e-9);
+            .route(&Query::new(src, dst, budget).with_deadline(Duration::from_micros(micros)));
+        if micros == 0 {
+            // A zero deadline could never take a step: typed rejection.
+            prop_assert_eq!(any.unwrap_err(), EngineError::ZeroDeadline);
+        } else {
+            prop_assert!(any.unwrap().probability <= full + 1e-9);
+        }
     }
 
     /// The pruning policies honour their contracts. Cost shifting is a
@@ -125,11 +140,10 @@ proptest! {
         let budget = exp * 1.05;
 
         // Cost shifting: exact against the default stack.
-        let default_p = BudgetRouter::new(&cost, RouterConfig::default())
-            .route(src, dst, budget, None)
-            .probability;
+        let default_p =
+            route(&engine(&cost, RouterConfig::default()), src, dst, budget).probability;
         let unshifted = RouterConfig { use_cost_shifting: false, ..RouterConfig::default() };
-        let p = BudgetRouter::new(&cost, unshifted).route(src, dst, budget, None).probability;
+        let p = route(&engine(&cost, unshifted), src, dst, budget).probability;
         prop_assert!((p - default_p).abs() < 1e-6, "{p} vs {default_p}");
 
         // Dominance modes: certified bound, dominance-off reference. The
@@ -143,16 +157,16 @@ proptest! {
             max_labels: 120_000,
             ..RouterConfig::default()
         };
-        let reference = BudgetRouter::with_certificate(&cost, base, Some(cert.clone()))
-            .route(src, dst, budget, None);
+        let certified =
+            |cfg| EngineBuilder::new(cost.clone()).config(cfg).certificate(cert.clone()).build();
+        let reference = route(&certified(base), src, dst, budget);
         prop_assume!(reference.stats.completed);
         let eps = model.calibration.expect("trained model calibrates").margin_eps;
         for (cfg, tol) in [
             (RouterConfig { dominance: DominanceMode::ConvGated, ..base }, 1e-9),
             (RouterConfig { dominance: DominanceMode::Margin { eps: None }, ..base }, eps + 1e-9),
         ] {
-            let r = BudgetRouter::with_certificate(&cost, cfg, Some(cert.clone()))
-                .route(src, dst, budget, None);
+            let r = route(&certified(cfg), src, dst, budget);
             prop_assert!(r.stats.completed);
             prop_assert!((r.probability - reference.probability).abs() <= tol,
                 "{:?}: {} vs {} (tol {tol})", cfg.dominance, r.probability, reference.probability);

@@ -119,11 +119,10 @@ impl<'a> HistogramView<'a> {
     /// `P(X <= x)` under the piecewise-linear (uniform within bucket) CDF.
     /// Zero below the support, one above it; `NaN` maps to zero.
     ///
-    /// The prefix mass runs through the shared summation kernel
-    /// (`crate::kernels`) — in-order on the default build (bit-identical
-    /// to the historical `iter().sum()`, proven against
-    /// [`crate::reference::cdf_ref`]), 4-lane reassociated under the
-    /// `fast-math` feature. For ascending query sweeps prefer
+    /// The prefix mass runs through the shared in-order summation kernel
+    /// (`crate::kernels`), bit-identical to the historical `iter().sum()`
+    /// and proven against [`crate::reference::cdf_ref`]. For ascending
+    /// query sweeps prefer
     /// [`crate::CdfScanner`], which amortizes the prefix to `O(n + m)`.
     pub fn cdf(&self, x: f64) -> f64 {
         if !x.is_finite() {

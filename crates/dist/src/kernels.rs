@@ -6,7 +6,7 @@
 //! a small, autovectorizer-friendly kernel with a precisely stated
 //! **accumulation-order contract**:
 //!
-//! > On the default build, every kernel performs *exactly the same
+//! > Every kernel performs *exactly the same
 //! > floating-point operations in exactly the same order per output
 //! > value* as the retained scalar reference implementation in
 //! > [`crate::reference`]. Results are bit-for-bit identical, which is
@@ -64,12 +64,9 @@
 //! see `crate::convolve`.
 //!
 //! What is **not** bitwise-neutral — multi-accumulator sum
-//! reassociation, FMA contraction, reciprocal multiplication — is either
-//! avoided or gated behind the `fast-math` cargo feature, which swaps the
-//! prefix-mass and moment folds for 4-lane reassociated variants. That
-//! build trades bit-identity for throughput; its drift is quantified by
-//! tolerance tests in `tests/proptest_kernels.rs` and it is **not** what
-//! CI certifies the router on.
+//! reassociation, FMA contraction, reciprocal multiplication — is
+//! avoided, so the summation folds keep one accumulator and their bits
+//! never move.
 
 use crate::histogram::HistogramView;
 
@@ -389,33 +386,10 @@ pub(crate) fn same_lattice(a: &HistogramView<'_>, b: &HistogramView<'_>) -> bool
 /// `xs.iter().sum::<f64>()` performs. The single shared summation kernel
 /// behind the CDF head and the pending-normalization total, kept
 /// single-accumulator so its bits never move.
-#[cfg(not(feature = "fast-math"))]
 #[inline]
 pub(crate) fn prefix_mass(xs: &[f64]) -> f64 {
     let mut acc = 0.0;
     for &x in xs {
-        acc += x;
-    }
-    acc
-}
-
-/// `fast-math` variant of [`prefix_mass`]: 4-lane reassociated sum.
-/// **Not** bit-identical to the scalar fold — drift is bounded by the
-/// usual `O(ε · Σ|x|)` reassociation error and quantified by the
-/// tolerance tests in `tests/proptest_kernels.rs`.
-#[cfg(feature = "fast-math")]
-#[inline]
-pub(crate) fn prefix_mass(xs: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    let mut chunks = xs.chunks_exact(4);
-    for c in &mut chunks {
-        lanes[0] += c[0];
-        lanes[1] += c[1];
-        lanes[2] += c[2];
-        lanes[3] += c[3];
-    }
-    let mut acc = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    for &x in chunks.remainder() {
         acc += x;
     }
     acc
@@ -483,14 +457,12 @@ pub(crate) fn quantile_scan(start: f64, width: f64, probs: &[f64], q: f64) -> f6
 /// calls and only advances it, so a full ascending sweep costs `O(n + m)`
 /// for `m` queries.
 ///
-/// On the default build every evaluation is **bit-identical** to
+/// Every evaluation is **bit-identical** to
 /// `view.cdf(x)`: the carried cumulative mass is the same left-to-right
 /// fold from `0.0` the one-shot scan performs (it never rewinds, and
 /// additions happen in the same ascending bucket order), and the
-/// saturation/interpolation arithmetic is shared. Under the `fast-math`
-/// feature the one-shot scan reassociates its prefix fold while the
-/// scanner keeps the in-order one, so the two may differ within the
-/// quantified drift budget. Feeding a scanner *descending* queries is a contract
+/// saturation/interpolation arithmetic is shared. Feeding a scanner
+/// *descending* queries is a contract
 /// violation — checked by `debug_assert`, unspecified (but non-UB, and
 /// never above the true CDF's final value) in release builds.
 ///

@@ -41,16 +41,13 @@
 //!
 //! The hot inner loops (convolution multiply-accumulate, the fused
 //! accumulate-and-cap, the closed-form capped mixed-width convolution,
-//! CDF/quantile/moment scans) run as chunked, branch-free kernels. On the default build every kernel is
+//! CDF/quantile/moment scans) run as chunked, branch-free kernels. Every kernel is
 //! **bit-for-bit identical** to the retained scalar reference
 //! implementation ([`mod@reference`], `#[doc(hidden)]`): the only
 //! transformations used are accumulation-order-preserving (unrolling
 //! across distinct output slots, chunk-granular zero skips, shared
 //! redistribution bodies), and the differential suite in
 //! `tests/proptest_kernels.rs` pins the claim over adversarial grids.
-//! Reassociating variants of the summation folds exist behind the
-//! **`fast-math`** cargo feature only; enabling it trades bit-identity
-//! for throughput and is *not* what the routing-soundness CI certifies.
 //! [`CdfScanner`] exposes the incremental CDF evaluation (for monotone
 //! query sweeps) that the dominance and envelope checks run on, and
 //! [`ConvRoute`] reports which convolution path ran — including the

@@ -5,7 +5,7 @@
 //! spanning ~1e-300..1e3, and bucket caps pinned to the degenerate ends
 //! (`1` and exactly `na + nb - 1`).
 //!
-//! Every kernel-vs-twin assertion is on `to_bits()`: the default build
+//! Every kernel-vs-twin assertion is on `to_bits()`: the crate
 //! promises the restructured kernels are *bitwise* transparent, not
 //! merely close. The suite also audits `PoolStats` after each operation —
 //! every checkout must be matched by a checkin, fused path or not.
@@ -423,11 +423,7 @@ proptest! {
                                      x in -100.0f64..2000.0,
                                      q in 0.001f64..1.0) {
         let (s, w, p) = (h.start(), h.width(), h.probs());
-        // The summation fold itself is only bit-pinned on the default
-        // build; fast-math swaps it for a reassociated variant.
-        if cfg!(not(feature = "fast-math")) {
-            prop_assert_eq!(h.cdf(x).to_bits(), cdf_ref(s, w, p, x).to_bits());
-        }
+        prop_assert_eq!(h.cdf(x).to_bits(), cdf_ref(s, w, p, x).to_bits());
         prop_assert!((h.cdf(x) - cdf_ref(s, w, p, x)).abs() < 1e-12);
         prop_assert_eq!(h.quantile(q).to_bits(), quantile_ref(s, w, p, q).to_bits());
         prop_assert_eq!(
@@ -453,15 +449,8 @@ proptest! {
         let mut scan = srt_dist::CdfScanner::new(h.view());
         for &t in &xs {
             let x = h.start() + t * span;
-            // The scanner always keeps the in-order fold; the one-shot
-            // scan only matches it bitwise on the default build.
-            if cfg!(feature = "fast-math") {
-                prop_assert!((scan.cdf(x) - h.cdf(x)).abs() <= 1e-13,
-                    "scanner drifted past budget at x = {}", x);
-            } else {
-                prop_assert_eq!(scan.cdf(x).to_bits(), h.cdf(x).to_bits(),
-                    "scanner diverged at x = {}", x);
-            }
+            prop_assert_eq!(scan.cdf(x).to_bits(), h.cdf(x).to_bits(),
+                "scanner diverged at x = {}", x);
         }
     }
 
@@ -565,21 +554,6 @@ proptest! {
         let mut out_r = pool_r.checkout();
         convolve_into_ref(&a.view(), &shifted.view(), &mut out_r, &mut pool_r);
         assert_bits_eq(&prod, &out_r.into_histogram().expect("valid"))?;
-    }
-}
-
-#[cfg(feature = "fast-math")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Quantifies the fast-math drift: the reassociated prefix fold must
-    /// stay within a few ULPs-at-unit-scale of the in-order reference.
-    /// (This is the *only* divergence the feature is allowed to buy.)
-    #[test]
-    fn fast_math_cdf_drift_is_bounded(h in arb_adversarial(), x in -100.0f64..2000.0) {
-        let reference = cdf_ref(h.start(), h.width(), h.probs(), x);
-        prop_assert!((h.cdf(x) - reference).abs() <= 1e-13,
-            "fast-math drift {} exceeds budget", (h.cdf(x) - reference).abs());
     }
 }
 

@@ -50,7 +50,7 @@ pub(crate) fn route_queries(
 mod tests {
     use super::*;
     use crate::setup::{build_context, Scale};
-    use srt_core::routing::BudgetRouter;
+    use srt_core::routing::SearchContext;
     use srt_core::CombinePolicy;
     use srt_synth::{DistanceCategory, QueryGenerator};
 
@@ -66,10 +66,14 @@ mod tests {
             6,
         );
         let parallel = route_queries(&cost, RouterConfig::default(), &queries, None);
-        let router = BudgetRouter::new(&cost, RouterConfig::default());
+        let engine = EngineBuilder::new(cost.clone()).config(RouterConfig::default()).build();
+        let mut ctx = SearchContext::new();
         for (q, r) in queries.iter().zip(&parallel) {
-            let serial = router.route(q.source, q.target, q.budget_s, None);
-            assert!((serial.probability - r.probability).abs() < 1e-12);
+            let serial = engine
+                .route_with(&srt_core::routing::Query::from(q), &mut ctx)
+                .unwrap();
+            // Batches are bitwise-identical to sequential routing.
+            assert_eq!(serial.probability.to_bits(), r.probability.to_bits());
         }
     }
 }

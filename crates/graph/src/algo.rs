@@ -367,69 +367,6 @@ where
     dist
 }
 
-/// A* search from `source` to `target` with an admissible heuristic
-/// `h(v) ≤ true remaining cost`. Returns the path and its cost, or `None`
-/// if `target` is unreachable.
-pub fn astar<W, H>(
-    g: &RoadGraph,
-    source: NodeId,
-    target: NodeId,
-    weight: W,
-    heuristic: H,
-) -> Option<(Path, f64)>
-where
-    W: Fn(EdgeId) -> f64,
-    H: Fn(NodeId) -> f64,
-{
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred_edge: Vec<Option<EdgeId>> = vec![None; n];
-    let mut pred_node: Vec<Option<NodeId>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        priority: heuristic(source),
-        node: source,
-    });
-
-    while let Some(HeapEntry { node, .. }) = heap.pop() {
-        if settled[node.index()] {
-            continue;
-        }
-        settled[node.index()] = true;
-        if node == target {
-            break;
-        }
-        let d = dist[node.index()];
-        for (e, head) in g.out_edges(node) {
-            let nd = d + weight(e);
-            if nd < dist[head.index()] {
-                dist[head.index()] = nd;
-                pred_edge[head.index()] = Some(e);
-                pred_node[head.index()] = Some(node);
-                heap.push(HeapEntry {
-                    priority: nd + heuristic(head),
-                    node: head,
-                });
-            }
-        }
-    }
-
-    if !dist[target.index()].is_finite() {
-        return None;
-    }
-    let sp = ShortestPaths {
-        source,
-        dist,
-        pred_edge,
-        pred_node,
-    };
-    let cost = sp.distance(target);
-    sp.extract_path(target).map(|p| (p, cost))
-}
-
 /// Dijkstra variant where `weight` may *ban* edges by returning `None`.
 /// Used by Yen's k-shortest-paths spur searches.
 pub fn dijkstra_filtered<W>(
@@ -776,36 +713,6 @@ mod tests {
                 assert!(back[v.index()].is_infinite());
             }
         }
-    }
-
-    #[test]
-    fn astar_with_zero_heuristic_equals_dijkstra() {
-        let g = line_with_shortcut();
-        let w = |e: EdgeId| g.attrs(e).freeflow_time_s();
-        let (p, cost) = astar(&g, NodeId(0), NodeId(2), w, |_| 0.0).unwrap();
-        assert!((cost - 20.0).abs() < 1e-9);
-        assert_eq!(p.edges.len(), 2);
-    }
-
-    #[test]
-    fn astar_with_admissible_heuristic_is_optimal() {
-        let g = line_with_shortcut();
-        let w = |e: EdgeId| g.attrs(e).freeflow_time_s();
-        // Edge lengths (100 m) are shorter than the geometric spacing, so a
-        // generous 100 m/s divisor keeps the heuristic admissible.
-        let h = |v: NodeId| g.straight_line_m(v, NodeId(2)) / 100.0;
-        let (_, cost) = astar(&g, NodeId(0), NodeId(2), w, h).unwrap();
-        assert!((cost - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn astar_unreachable_returns_none() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(Point::new(0.0, 0.0));
-        let c = b.add_node(Point::new(0.1, 0.0));
-        b.add_edge(a, c, attrs(100.0));
-        let g = b.build();
-        assert!(astar(&g, c, a, |e| g.attrs(e).freeflow_time_s(), |_| 0.0).is_none());
     }
 
     #[test]

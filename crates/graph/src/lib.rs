@@ -13,7 +13,6 @@
 //! * [`algo::backward_dijkstra`] — all-to-one shortest paths on the reverse
 //!   graph, used for the A*-style *optimistic remaining cost* bound
 //!   (pruning (a) in the paper),
-//! * [`algo::astar`] — goal-directed search with an admissible heuristic,
 //! * [`algo::strongly_connected_components`] — Tarjan SCC, used to restrict
 //!   synthetic networks to their largest strongly connected component,
 //! * [`bounds::OptimisticBounds`] — cached per-vertex lower bounds.

@@ -9,10 +9,6 @@
 //! * [`forest`] — bagged random forests over those trees; the
 //!   multi-output regressor is the paper's *distribution estimation model*
 //!   backend and the classifier its *convolution-vs-estimation* gate,
-//! * [`gbdt`] — gradient-boosted trees (squared loss / logistic loss),
-//! * [`linear`] — logistic regression (full-batch gradient descent + L2),
-//! * [`knn`] — k-nearest-neighbour regression/classification baselines,
-//! * [`scaler`] — feature standardization,
 //! * [`split`] — train/test splitting and k-fold cross-validation,
 //! * [`metrics`] — accuracy/precision/recall/F1/log-loss, MSE/MAE/R².
 //!
@@ -40,17 +36,11 @@ pub(crate) mod codec;
 pub mod dataset;
 pub mod error;
 pub mod forest;
-pub mod gbdt;
-pub mod knn;
-pub mod linear;
 pub mod metrics;
-pub mod scaler;
 pub mod split;
 pub mod tree;
 
 pub use dataset::Matrix;
 pub use error::MlError;
 pub use forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};
-pub use linear::LogisticRegression;
-pub use scaler::StandardScaler;
 pub use tree::{ClassificationTree, RegressionTree, TreeConfig};

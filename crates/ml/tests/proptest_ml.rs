@@ -3,8 +3,6 @@
 use proptest::prelude::*;
 use srt_ml::dataset::Matrix;
 use srt_ml::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};
-use srt_ml::linear::{LogisticConfig, LogisticRegression};
-use srt_ml::scaler::StandardScaler;
 use srt_ml::split::{train_test_split, KFold};
 use srt_ml::tree::{RegressionTree, TreeConfig};
 
@@ -71,29 +69,6 @@ proptest! {
             let p = f.predict_proba_row(row);
             prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             prop_assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        }
-    }
-
-    /// Logistic regression always emits probabilities in [0, 1].
-    #[test]
-    fn logistic_probability_bounds(rows in proptest::collection::vec(proptest::collection::vec(-3.0f64..3.0, 2), 6..30)) {
-        let labels: Vec<usize> = rows.iter().map(|r| usize::from(r[0] + r[1] > 0.0)).collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let cfg = LogisticConfig { epochs: 50, ..LogisticConfig::default() };
-        let m = LogisticRegression::fit(&x, &labels, &cfg).unwrap();
-        for row in rows.iter() {
-            let p = m.predict_proba_row(row);
-            prop_assert!((0.0..=1.0).contains(&p));
-        }
-    }
-
-    /// Scaler transform is invertible in distribution: mean 0, sd 1.
-    #[test]
-    fn scaler_standardizes(rows in proptest::collection::vec(proptest::collection::vec(-100.0f64..100.0, 3), 5..40)) {
-        let x = Matrix::from_rows(&rows).unwrap();
-        let (_, t) = StandardScaler::fit_transform(&x).unwrap();
-        for m in t.column_means() {
-            prop_assert!(m.abs() < 1e-8);
         }
     }
 

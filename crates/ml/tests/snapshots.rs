@@ -3,8 +3,6 @@
 use bytes::BytesMut;
 use srt_ml::dataset::Matrix;
 use srt_ml::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};
-use srt_ml::linear::{LogisticConfig, LogisticRegression};
-use srt_ml::scaler::StandardScaler;
 use srt_ml::tree::{ClassificationTree, RegressionTree, TreeConfig};
 use srt_ml::MlError;
 
@@ -85,25 +83,6 @@ fn classification_forest_round_trips() {
     for i in (0..x.rows()).step_by(5) {
         assert_eq!(f.predict_proba_row(x.row(i)), f2.predict_proba_row(x.row(i)));
     }
-}
-
-#[test]
-fn logistic_and_scaler_round_trip() {
-    let (x, y) = classification_data();
-    let (scaler, scaled) = StandardScaler::fit_transform(&x).unwrap();
-    let m = LogisticRegression::fit(&scaled, &y, &LogisticConfig::default()).unwrap();
-
-    let mut buf = BytesMut::new();
-    scaler.write_bytes(&mut buf);
-    m.write_bytes(&mut buf);
-    let bytes = buf.freeze();
-    let mut data = &bytes[..];
-    let scaler2 = StandardScaler::read_bytes(&mut data).unwrap();
-    let m2 = LogisticRegression::read_bytes(&mut data).unwrap();
-
-    assert_eq!(scaler.means(), scaler2.means());
-    assert_eq!(m.weights(), m2.weights());
-    assert_eq!(m.bias(), m2.bias());
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`graph`] — road-network substrate,
 //! * [`dist`] — travel-time distribution algebra,
-//! * [`ml`] — learning substrate (forests, logistic regression, ...),
+//! * [`ml`] — learning substrate (CART trees, random forests),
 //! * [`synth`] — synthetic networks, dependent trajectories, workloads,
 //! * [`core`] — the hybrid model and probabilistic budget routing,
 //! * [`eval`] — experiment harness reproducing the paper's tables.

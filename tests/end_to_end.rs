@@ -4,7 +4,7 @@
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::baseline::ExpectedTimeBaseline;
 use stochastic_routing::core::routing::{
-    BatchExecutor, BoundMode, BudgetRouter, EngineBuilder, Query, RouterConfig,
+    BatchExecutor, BoundMode, EngineBuilder, Query, RouterConfig,
 };
 use stochastic_routing::core::{CombinePolicy, HybridCost};
 use stochastic_routing::ml::forest::ForestConfig;
@@ -79,16 +79,18 @@ fn anytime_is_monotone_in_the_limit() {
     let world = SyntheticWorld::build(WorldConfig::tiny());
     let (model, _) = train_hybrid(&world, &tiny_training()).expect("training succeeds");
     let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-    let router = BudgetRouter::new(&cost, RouterConfig::default());
+    let engine = EngineBuilder::new(cost).config(RouterConfig::default()).build();
     let mut qg = QueryGenerator::new(5);
     let queries = qg.generate(&world.graph, &world.model, DistanceCategory::OneToFive, 3);
 
     for q in &queries {
-        let p0 = router
-            .route(q.source, q.target, q.budget_s, Some(Duration::ZERO))
+        // The shortest deadline the engine accepts (zero is rejected).
+        let p0 = engine
+            .route(&Query::from(q).with_deadline(Duration::from_nanos(1)))
+            .unwrap()
             .probability;
-        let p_inf = router.route(q.source, q.target, q.budget_s, None).probability;
-        assert!(p0 <= p_inf + 1e-9, "deadline 0 beat unbounded");
+        let p_inf = engine.route(&Query::from(q)).unwrap().probability;
+        assert!(p0 <= p_inf + 1e-9, "a 1 ns deadline beat unbounded");
         assert!(p0 > 0.0, "pivot must provide a usable answer");
     }
 }
@@ -122,8 +124,14 @@ fn router_stats_reflect_pruning_work() {
     let mut qg = QueryGenerator::new(9);
     let q = qg.generate(&world.graph, &world.model, DistanceCategory::OneToFive, 1)[0];
 
-    let full = BudgetRouter::new(&cost, RouterConfig::default())
-        .route(q.source, q.target, q.budget_s, None);
+    let route = |cfg| {
+        EngineBuilder::new(cost.clone())
+            .config(cfg)
+            .build()
+            .route(&Query::from(q))
+            .unwrap()
+    };
+    let full = route(RouterConfig::default());
     assert!(full.stats.completed);
     assert!(full.stats.labels_created > 0);
 
@@ -132,8 +140,7 @@ fn router_stats_reflect_pruning_work() {
         max_labels: 30_000,
         ..RouterConfig::default()
     };
-    let unpruned =
-        BudgetRouter::new(&cost, unpruned_cfg).route(q.source, q.target, q.budget_s, None);
+    let unpruned = route(unpruned_cfg);
     assert!(
         unpruned.stats.labels_created >= full.stats.labels_created,
         "bound pruning must save work"

@@ -4,8 +4,8 @@
 //! * **determinism** — `BatchExecutor` batches across 1/2/8 lanes return
 //!   bitwise-identical `RouteResult`s (probabilities compared by bit
 //!   pattern, paths, distributions and every counter except wall-clock
-//!   `elapsed`) to sequential routing through the deprecated
-//!   `BudgetRouter` shim,
+//!   `elapsed`) to sequential `route_with` over one reused
+//!   `SearchContext` on a separately built engine,
 //! * **validation** — the typed `Query` API rejects NaN/infinite
 //!   budgets, out-of-range node ids and zero anytime deadlines with the
 //!   matching `EngineError`, without poisoning the rest of a batch,
@@ -25,8 +25,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::{
-    BatchExecutor, BudgetRouter, EngineBuilder, EngineError, Query, RouteResult, RouterConfig,
-    RoutingEngine,
+    BatchExecutor, EngineBuilder, EngineError, OracleRouter, Query, RouteResult, RouterConfig,
+    RoutingEngine, SearchContext,
 };
 use stochastic_routing::core::{CombinePolicy, HybridCost, HybridModel};
 use stochastic_routing::graph::NodeId;
@@ -104,6 +104,20 @@ fn assert_identical(a: &RouteResult, b: &RouteResult, what: &str) {
     );
 }
 
+/// The sequential reference: `queries` routed one after another through
+/// `route_with` over one reused `SearchContext`, on an engine built for
+/// this alone.
+fn sequential(cost: &HybridCost, queries: &[Query]) -> Vec<RouteResult> {
+    let engine = EngineBuilder::new(cost.clone())
+        .config(RouterConfig::default())
+        .build();
+    let mut ctx = SearchContext::new();
+    queries
+        .iter()
+        .map(|q| engine.route_with(q, &mut ctx).expect("reference queries are valid"))
+        .collect()
+}
+
 /// One batch on a fresh `lanes`-lane executor over `engine`.
 fn execute(
     engine: &Arc<RoutingEngine>,
@@ -126,13 +140,7 @@ fn route_batch_is_deterministic_across_worker_counts() {
     let cost = cost();
     let queries = workload(8);
 
-    // The sequential reference goes through the deprecated shim — the
-    // parity contract that lets existing callers migrate fearlessly.
-    let shim = BudgetRouter::new(&cost, RouterConfig::default());
-    let reference: Vec<RouteResult> = queries
-        .iter()
-        .map(|q| shim.route(q.source, q.target, q.budget_s, None))
-        .collect();
+    let reference = sequential(&cost, &queries);
 
     for workers in [1usize, 2, 8] {
         let engine = Arc::new(
@@ -397,12 +405,11 @@ fn shared_lattice_fast_path_fires_and_preserves_routes() {
         CombinePolicy::AlwaysConvolve,
     );
 
-    let shim = BudgetRouter::new(&cost, RouterConfig::default());
     let engine = EngineBuilder::new(cost.clone())
         .config(RouterConfig::default())
         .build();
-    for (i, q) in workload(6).iter().enumerate() {
-        let expected = shim.route(q.source, q.target, q.budget_s, None);
+    let queries = workload(6);
+    for (i, (q, expected)) in queries.iter().zip(sequential(&cost, &queries)).enumerate() {
         let got = engine.route(q).expect("workload queries are valid");
         assert_identical(&got, &expected, &format!("query {i} on the snapped lattice"));
     }
@@ -449,12 +456,11 @@ fn constant_time_edge_is_routed_across() {
         .collect();
     for policy in [CombinePolicy::AlwaysConvolve, CombinePolicy::Hybrid] {
         let cost = HybridCost::new(&world.graph, model, marginals.clone(), policy);
-        let shim = BudgetRouter::new(&cost, RouterConfig::default());
         let engine = EngineBuilder::new(cost.clone())
             .config(RouterConfig::default())
             .build();
         let got = engine.route(&q).expect("workload queries are valid");
-        let expected = shim.route(q.source, q.target, q.budget_s, None);
+        let expected = sequential(&cost, &[q]).remove(0);
         assert_identical(&got, &expected, &format!("{policy:?} across a frozen edge"));
         assert!(got.stats.completed);
         let path = got.path.expect("still routable");
@@ -466,8 +472,7 @@ fn constant_time_edge_is_routed_across() {
 fn zero_budget_is_valid_and_takes_the_degenerate_path() {
     // A budget of exactly 0.0 is finite and answerable (probability 0),
     // so validation admits it — but the search must not burn a full
-    // exploration to conclude that: `route_inner`'s degenerate path now
-    // covers non-positive budgets, matching its long-standing comment.
+    // exploration to conclude that: `route_inner` answers it directly.
     let engine = EngineBuilder::new(cost())
         .config(RouterConfig::default())
         .build();
@@ -486,22 +491,35 @@ fn zero_budget_is_valid_and_takes_the_degenerate_path() {
 }
 
 #[test]
-fn shim_preserves_legacy_degenerate_budget_semantics() {
-    // The deprecated BudgetRouter keeps answering NaN/∞/negative budgets
-    // with a probability-0 result (its documented legacy contract), even
-    // though the typed engine API now rejects the same budgets.
+fn source_equals_target_answers_one_at_every_budget() {
+    // Already at the target, the empty path arrives within any budget —
+    // zero included. The engine answers that before it looks at the
+    // budget, and agrees with the exhaustive oracle bit for bit.
     let cost = cost();
-    let shim = BudgetRouter::new(&cost, RouterConfig::default());
     let engine = EngineBuilder::new(cost.clone())
+        .config(RouterConfig::default())
+        .build();
+    let oracle = OracleRouter::new(&cost);
+    let s = workload(1)[0].source;
+    for budget in [0.0, 1e-9, 10.0] {
+        let r = engine
+            .route(&Query::new(s, s, budget))
+            .expect("finite non-negative budgets are valid");
+        let o = oracle.route(s, s, budget, 1000).expect("trivial query fits the cap");
+        assert_eq!(r.probability.to_bits(), o.probability.to_bits(), "budget {budget}");
+        assert_eq!(r.probability, 1.0, "budget {budget}");
+        assert!(r.stats.completed);
+        assert!(r.path.expect("empty path").is_empty(), "budget {budget}");
+    }
+}
+
+#[test]
+fn non_finite_and_negative_budgets_are_rejected() {
+    let engine = EngineBuilder::new(cost())
         .config(RouterConfig::default())
         .build();
     let q = workload(1)[0];
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
-        let r = shim.route(q.source, q.target, bad, None);
-        assert_eq!(r.probability, 0.0, "shim budget {bad}");
-        assert!(r.stats.completed);
-        assert!(r.path.is_some(), "shim still attaches the usable path");
-        assert_eq!(r.stats.labels_created, 0, "degenerate budgets never search");
         assert!(
             matches!(
                 engine.route(&Query::new(q.source, q.target, bad)),
@@ -740,21 +758,15 @@ fn contended_bounds_cache_never_overshoots_capacity_or_changes_answers() {
 }
 
 #[test]
-fn shim_and_engine_agree_on_anytime_queries() {
-    let cost = cost();
-    let shim = BudgetRouter::new(&cost, RouterConfig::default());
-    let engine = EngineBuilder::new(cost.clone())
+fn generous_deadline_answers_identically_to_no_deadline() {
+    let engine = EngineBuilder::new(cost())
         .config(RouterConfig::default())
         .build();
     let q = workload(1)[0];
-    // Unbounded: exact parity (deterministic search).
-    let a = shim.route(q.source, q.target, q.budget_s, None);
-    let b = engine.route(&q).unwrap();
-    assert_identical(&a, &b, "unbounded anytime query");
-    // With a generous deadline the search completes and parity holds.
-    let deadline = Duration::from_secs(60);
-    let c = shim.route(q.source, q.target, q.budget_s, Some(deadline));
-    let d = engine.route(&q.with_deadline(deadline)).unwrap();
-    assert!(c.stats.completed && d.stats.completed);
-    assert_identical(&c, &d, "deadlined anytime query");
+    // A 60 s deadline never fires on a tiny world: the search completes
+    // and the answer is the unbounded one, bit for bit.
+    let unbounded = engine.route(&q).unwrap();
+    let deadlined = engine.route(&q.with_deadline(Duration::from_secs(60))).unwrap();
+    assert!(unbounded.stats.completed && deadlined.stats.completed);
+    assert_identical(&deadlined, &unbounded, "60 s deadline vs none");
 }

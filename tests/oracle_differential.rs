@@ -66,7 +66,6 @@ fn train_scenario(name: &'static str, world: SyntheticWorld, seed: u64) -> Scena
             ..ForestConfig::default()
         },
         seed: seed ^ 0xD1FF,
-        ..TrainingConfig::default()
     };
     let (model, _) = train_hybrid(&world, &cfg).expect("scenario world trains");
     Scenario { name, world, model }
@@ -185,9 +184,7 @@ fn certificate_for(w: usize, combine: CombinePolicy) -> &'static ConvCertificate
 
 /// Routes one query through the production query-serving surface — a
 /// [`RoutingEngine`] built for `cfg` — so the whole scenario matrix
-/// certifies the engine itself (the deprecated `BudgetRouter` shim is a
-/// thin delegate to the same search; its parity is pinned separately in
-/// `tests/engine_parity.rs`). A precomputed certificate is cloned in
+/// certifies the engine itself. A precomputed certificate is cloned in
 /// when the configuration consumes one.
 fn engine_route(
     cost: &stochastic_routing::core::HybridCost,

@@ -4,15 +4,18 @@
 //! corpus drives the hot-swap admission path: a corrupt v3 snapshot fed
 //! to [`RoutingEngine::swap_model_bytes`] must be rejected with the old
 //! epoch still serving bitwise-identically, and a benign mutation that
-//! decodes must publish exactly one new epoch.
+//! decodes must publish exactly one new epoch. A snapshot naming the
+//! retired logistic-regression gate (classifier tag `1`) is rejected the
+//! same way.
 
 use proptest::prelude::*;
 use stochastic_routing::core::model::io as model_io;
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::{EngineBuilder, Query, RouteResult, RoutingEngine};
-use stochastic_routing::core::{CombinePolicy, HybridCost, HybridModel};
+use stochastic_routing::core::{CombinePolicy, CoreError, HybridCost, HybridModel};
 use stochastic_routing::graph::io as graph_io;
 use stochastic_routing::ml::forest::ForestConfig;
+use stochastic_routing::ml::MlError;
 use stochastic_routing::synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};
 use std::sync::OnceLock;
 
@@ -165,4 +168,50 @@ proptest! {
         prop_assert_eq!(engine.epoch(), 0);
         assert_probe_unchanged(&engine, &q, reference);
     }
+}
+
+/// The fixture model as a hand-assembled v3 snapshot whose gate carries
+/// classifier tag `gate_tag` (`0` = the forest gate, the only one left).
+fn snapshot_with_gate_tag(gate_tag: u8) -> Vec<u8> {
+    use bytes::{BufMut, BytesMut};
+    let m = model();
+    let mut gate = BytesMut::new();
+    m.classifier.write_bytes(&mut gate);
+    let mut gate = gate.to_vec();
+    // Gate layout: threshold f64, then the one-byte backend tag.
+    assert_eq!(gate[8], 0, "the forest gate writes tag 0");
+    gate[8] = gate_tag;
+
+    let mut buf = BytesMut::new();
+    buf.put_u32_le(0x5352_4D4F); // magic "SRMO"
+    buf.put_u32_le(3); // version
+    buf.put_u32_le(m.bins as u32);
+    m.estimator.write_bytes(&mut buf);
+    buf.put_slice(&gate);
+    buf.put_u8(1);
+    m.calibration.as_ref().expect("fixture calibrates").write_bytes(&mut buf);
+    buf.put_u8(1);
+    m.envelope.as_ref().expect("fixture has an envelope").write_bytes(&mut buf);
+    buf.to_vec()
+}
+
+#[test]
+fn retired_gate_tag_is_rejected_and_the_old_epoch_keeps_serving() {
+    // The assembly itself is the encoder's layout: tag 0 reproduces it.
+    assert_eq!(snapshot_with_gate_tag(0), model_snapshot());
+
+    let retired = snapshot_with_gate_tag(1);
+    match model_io::from_bytes(&retired) {
+        Err(CoreError::Ml(MlError::Corrupt(msg))) => assert!(
+            msg.contains("unknown classifier backend tag 1"),
+            "untyped rejection: {msg}"
+        ),
+        Err(other) => panic!("wrong error for the retired tag: {other:?}"),
+        Ok(_) => panic!("a snapshot with the retired gate tag decoded"),
+    }
+
+    let (engine, q, reference) = probe_engine();
+    assert!(engine.swap_model_bytes(&retired).is_err());
+    assert_eq!(engine.epoch(), 0);
+    assert_probe_unchanged(&engine, &q, reference);
 }
