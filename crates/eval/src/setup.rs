@@ -9,12 +9,12 @@ use srt_synth::{SyntheticWorld, WorldConfig};
 
 /// Experiment scale. `Paper` follows the publication protocol (4,000
 /// training pairs / 1,000 test pairs on a >10 km network); the smaller
-/// scales keep CI and benches fast.
+/// scales keep CI and the benchmark fast.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Sub-second world, used in unit tests.
     Tiny,
-    /// A few seconds; default for `cargo bench` fixtures.
+    /// A few seconds; the `run_experiments` default.
     Small,
     /// The full protocol; minutes, used by `run_experiments --scale paper`.
     Paper,

@@ -1,10 +1,10 @@
 //! A deliberately tiny blocking HTTP/1.1 client — just enough to drive
-//! the server from the integration tests, the `--smoke` self-check, and
-//! the closed-loop latency bench without pulling in a dependency.
+//! the server from the socket-level integration tests (keep-alive,
+//! connect-per-request and pipelined) without pulling in a dependency.
 //!
 //! `#[doc(hidden)]`: this is test scaffolding that happens to live in
-//! the library so all three consumers share one implementation; it is
-//! not part of the serving API.
+//! the library so every integration test shares one implementation; it
+//! is not part of the serving API.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -14,12 +14,12 @@
 //! histogram are updated together inside one
 //! [`SeqLock`] write section, and the page
 //! render runs as a seqlock read — so a scrape can never observe a
-//! request counted in one but not the other. (The committed
-//! `BENCH_serve.json` once showed `requests_total 1248` against
-//! `request_seconds_count 1247`: the count was bumped at parse time,
-//! the histogram at response time, and the scrape's own request sat in
-//! the gap. Both now move at response time, atomically-enough, which
-//! also excludes the in-progress scrape itself consistently.)
+//! request counted in one but not the other. (A scraped page once
+//! showed `requests_total 1248` against `request_seconds_count 1247`:
+//! the count was bumped at parse time, the histogram at response time,
+//! and the scrape's own request sat in the gap. Both now move at
+//! response time, atomically-enough, which also excludes the
+//! in-progress scrape itself consistently.)
 
 use srt_core::routing::StatsSnapshot;
 use srt_core::sync::SeqLock;
@@ -466,28 +466,29 @@ mod tests {
         }
     }
 
-    /// The regression the committed BENCH_serve.json exposed: scrapes
-    /// racing traffic once caught `requests_total` and the histogram
-    /// count one apart. Hammer both sides and assert every scrape sees
-    /// them equal.
+    /// The regression a scraped page once showed: scrapes racing
+    /// traffic caught `requests_total` and the histogram count one
+    /// apart (the count was bumped at parse time, the histogram at
+    /// response time). Four writers record a fixed count each while the
+    /// reader scrapes until they are done; every scrape must see the
+    /// two equal, and the final page the exact totals.
     #[test]
     fn scrapes_never_observe_count_and_histogram_apart() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
 
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 20_000;
         let metrics = Arc::new(ServeMetrics::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
+        let start = Arc::new(Barrier::new(WRITERS as usize + 1));
+        let writers: Vec<_> = (0..WRITERS)
             .map(|_| {
                 let metrics = Arc::clone(&metrics);
-                let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    start.wait();
+                    for n in 0..PER_WRITER {
                         metrics.record_request(200, Duration::from_micros(100 + n % 500));
-                        n += 1;
                     }
-                    n
                 })
             })
             .collect();
@@ -499,7 +500,10 @@ mod tests {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or_else(|| panic!("no sample {name} in:\n{page}"))
         };
-        for _ in 0..500 {
+        start.wait();
+        loop {
+            // Read before the scrape, so the last scrape follows every write.
+            let done = writers.iter().all(|w| w.is_finished());
             let page = metrics.render_prometheus(&StatsSnapshot::default(), 0);
             let count = sample(&page, "srt_serve_requests_total");
             let hist = sample(&page, "srt_serve_request_seconds_count");
@@ -507,13 +511,17 @@ mod tests {
                 count, hist,
                 "scrape observed requests_total and the histogram apart"
             );
+            if done {
+                break;
+            }
         }
-        stop.store(true, Ordering::Relaxed);
-        let recorded: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert!(recorded > 0, "writers made progress");
+        for w in writers {
+            w.join().unwrap();
+        }
         let page = metrics.render_prometheus(&StatsSnapshot::default(), 0);
-        assert_eq!(sample(&page, "srt_serve_requests_total"), recorded);
-        assert_eq!(sample(&page, "srt_serve_request_seconds_count"), recorded);
+        let total = WRITERS * PER_WRITER;
+        assert_eq!(sample(&page, "srt_serve_requests_total"), total);
+        assert_eq!(sample(&page, "srt_serve_request_seconds_count"), total);
     }
 
     #[test]

@@ -12,23 +12,31 @@
 //! * **pipelining** — many requests written in one burst are all
 //!   parsed and answered, strictly in request order, with cheap
 //!   endpoints interleaved between engine-bound ones,
-//! * **request-granular shedding** — a full dispatch queue costs the
-//!   overflowing *requests* a `503` while the connection survives and
+//! * **request-granular shedding** — a lone connect-per-request client
+//!   is never shed, while 2× overload from keep-alive clients sending
+//!   pipelined pairs and a pipelined burst cost the overflowing
+//!   *requests* clean `503`s (no connection reset) and every connection
 //!   keeps being served,
+//! * **metrics accounting** — the scraped `/metrics` page holds
+//!   `requests_total` and the latency histogram's count together, its
+//!   `shed_total` equals the `503`s the clients saw, exactly, and its
+//!   batching, response-class and engine families reflect the traffic,
 //! * **containment** — a query that panics mid-search returns an inline
 //!   `500`-kind error in its batch without failing batch-mates, and the
 //!   server keeps serving afterwards,
 //! * **drain** — graceful shutdown answers every admitted request
 //!   (zero in flight afterwards, all responses delivered), even
 //!   mid-pipeline,
-//! * **hot swap** — `POST /reload` publishes a new engine epoch with
-//!   zero dropped connections, a corrupt snapshot answers `422` while
-//!   the old epoch keeps serving, and a server without a model path
-//!   answers `409`,
+//! * **hot swap** — `POST /reload` publishes a new engine epoch (in
+//!   `/healthz` and as `srt_engine_epoch` on `/metrics`) with zero
+//!   dropped connections, a corrupt snapshot answers `422` while the old
+//!   epoch keeps serving, and a server without a model path answers
+//!   `409`,
 //! * **connection scaling and idle reap** — hundreds of parked
-//!   keep-alive connections cost scan slots, not threads, the server
-//!   stays responsive behind them, and a parked connection is closed
-//!   once [`ServerConfig::idle_timeout`] elapses.
+//!   keep-alive connections cost scan slots, not threads, live requests
+//!   behind them keep a p50 under 10 ms, the parked peers stay usable,
+//!   and a parked connection is closed once
+//!   [`ServerConfig::idle_timeout`] elapses.
 
 use srt_core::model::training::{train_hybrid, TrainingConfig};
 use srt_core::routing::{EngineBuilder, Query, RoutingEngine};
@@ -479,6 +487,13 @@ fn reload_publishes_a_new_epoch_and_rejects_corrupt_snapshots() {
     let mut conn = Client::connect(server.local_addr()).unwrap();
     let queries = workload(0x4E10AD, 6);
     let before: Vec<_> = queries.iter().map(|q| engine.route(q).unwrap()).collect();
+    let health = conn.request("GET", "/healthz", None).unwrap();
+    let doc = json::parse(&health.text()).unwrap();
+    assert_eq!(
+        doc.get("epoch").and_then(|v| v.as_u64()),
+        Some(0),
+        "a fresh engine"
+    );
 
     // Successful reload: 200, epoch 0 -> 1, visible in /healthz, on the
     // same keep-alive connection that keeps being served.
@@ -513,6 +528,10 @@ fn reload_publishes_a_new_epoch_and_rejects_corrupt_snapshots() {
     assert_eq!(resp.status, 200);
     let doc = json::parse(&resp.text()).unwrap();
     assert_served_identical(&doc, &before[0], "post-rejection probe");
+    // What an operator's scrape shows: the published epoch, unmoved by
+    // the rejected snapshot.
+    let page = conn.request("GET", "/metrics", None).unwrap().text();
+    assert_eq!(metric_sample(&page, "srt_engine_epoch"), 1);
 
     // A vanished file is the server's problem (500), not the snapshot's.
     std::fs::remove_file(&snapshot).unwrap();
@@ -706,29 +725,99 @@ fn pipelined_requests_are_answered_in_request_order() {
 
 #[test]
 fn full_dispatch_queue_sheds_requests_not_the_connection() {
-    // A one-slot dispatch queue behind a 64-request burst: most of the
-    // burst must be refused — but per request, in order, and the
-    // connection must remain fully usable afterwards.
+    // One executor lane behind a one-slot dispatch queue: the server
+    // holds two requests at a time. A lone closed-loop client is never
+    // shed; twice the holding capacity in closed-loop clients and a
+    // 64-request pipelined burst are — per request, with clean 503s,
+    // never a reset — and the burst's connection stays fully usable.
+    // The /metrics page scraped afterwards must add up to exactly what
+    // the clients saw.
+    const WORKERS: usize = 1;
+    const QUEUE_CAPACITY: usize = 1;
     let server = start(ServerConfig {
-        workers: 1,
+        workers: WORKERS,
         max_batch: 4,
-        queue_capacity: 1,
+        queue_capacity: QUEUE_CAPACITY,
         read_timeout: Some(Duration::from_secs(10)),
         ..ServerConfig::default()
     });
-    let q = workload(0x5ED2, 1)[0];
-    let one = route_request_bytes(&q);
-    let burst: Vec<u8> = one
-        .iter()
-        .copied()
-        .cycle()
-        .take(one.len() * 64)
-        .collect();
+    let addr = server.local_addr();
+    let queries = workload(0x5ED2, 8);
+    let q = queries[0];
+    // What the clients saw: 200 responses, engine queries they carried,
+    // and 503s.
+    let (mut ok_seen, mut routed, mut shed_seen) = (0u64, 0u64, 0u64);
 
-    let mut conn = Client::connect(server.local_addr()).unwrap();
+    // Uncontended: one closed-loop client, each /route on a connection
+    // of its own, then one /route_batch; nothing is refused.
+    for (i, q) in queries.iter().enumerate() {
+        let resp = Client::connect(addr)
+            .and_then(|mut conn| conn.request_closing("POST", "/route", Some(&query_body(q))))
+            .unwrap_or_else(|e| panic!("uncontended query {i}: connection failed: {e}"));
+        assert_eq!(
+            resp.status,
+            200,
+            "uncontended query {i} was refused: {}",
+            resp.text()
+        );
+    }
+    let batch = format!("{{{}}}", batch_members(&queries));
+    let resp = request_once(addr, "POST", "/route_batch", Some(&batch)).unwrap();
+    assert_eq!(
+        resp.status,
+        200,
+        "uncontended batch was refused: {}",
+        resp.text()
+    );
+    ok_seen += queries.len() as u64 + 1;
+    routed += 2 * queries.len() as u64;
+
+    // 2× overload: twice the holding capacity in closed-loop clients,
+    // each on its own keep-alive connection. Each round is a pipelined
+    // pair: a lone request on an idle server is executed inline by the
+    // connection plane and never meets the queue, so one request at a
+    // time would never be shed, however many clients send it.
+    let drivers: Vec<_> = (0..2 * (WORKERS + QUEUE_CAPACITY))
+        .map(|c| {
+            let queries = queries.clone();
+            std::thread::spawn(move || {
+                let (mut ok, mut shed) = (0u64, 0u64);
+                let mut conn = Client::connect(addr).unwrap();
+                for round in 0..10 {
+                    let mut pair = route_request_bytes(&queries[(c + round * 7) % queries.len()]);
+                    pair.extend(route_request_bytes(&queries[(c + round * 7 + 1) % queries.len()]));
+                    conn.send_raw(&pair).unwrap_or_else(|e| {
+                        panic!("overload client {c} round {round}: connection failed: {e}")
+                    });
+                    for k in 0..2 {
+                        let resp = conn.read_response().unwrap_or_else(|e| {
+                            panic!("overload client {c} round {round} answer {k}: connection failed: {e}")
+                        });
+                        match resp.status {
+                            200 => ok += 1,
+                            503 => shed += 1,
+                            other => panic!("overload client {c} round {round} answer {k}: status {other}"),
+                        }
+                    }
+                }
+                (ok, shed)
+            })
+        })
+        .collect();
+    for d in drivers {
+        let (ok, shed) = d.join().expect("overload client panicked");
+        ok_seen += ok;
+        routed += ok;
+        shed_seen += shed;
+    }
+
+    // The pipelined burst on one connection.
+    let one = route_request_bytes(&q);
+    let burst: Vec<u8> = one.iter().copied().cycle().take(one.len() * 64).collect();
+    let mut conn = Client::connect(addr).unwrap();
     conn.send_raw(&burst).unwrap();
-    let mut ok = 0u32;
-    let mut shed = 0u32;
+    let mut ok = 0u64;
+    let mut shed = 0u64;
     for i in 0..64 {
         let resp = conn
             .read_response()
@@ -744,14 +833,51 @@ fn full_dispatch_queue_sheds_requests_not_the_connection() {
     }
     assert!(ok >= 1, "at least the head of the burst is served");
     assert!(shed >= 1, "a one-slot queue cannot absorb a 64-burst");
-    assert!(
-        server.metrics().shed_total.load(Ordering::Relaxed) >= u64::from(shed),
-        "request-granular sheds must be counted"
-    );
 
     // The same connection lives on and is served normally.
-    let resp = conn.request("POST", "/route", Some(&query_body(&q))).unwrap();
-    assert_eq!(resp.status, 200, "shed connection must survive: {}", resp.text());
+    let resp = conn
+        .request("POST", "/route", Some(&query_body(&q)))
+        .unwrap();
+    assert_eq!(
+        resp.status,
+        200,
+        "shed connection must survive: {}",
+        resp.text()
+    );
+    ok_seen += ok + 1;
+    routed += ok + 1;
+    shed_seen += shed;
+
+    let page = conn.request("GET", "/metrics", None).unwrap().text();
+    assert_eq!(
+        metric_sample(&page, "srt_serve_requests_total"),
+        metric_sample(&page, "srt_serve_request_seconds_count"),
+        "scrape shows requests_total and request_seconds_count apart"
+    );
+    assert_eq!(
+        metric_sample(&page, "srt_serve_shed_total"),
+        shed_seen,
+        "server-side shed counter disagrees with the client-observed 503s"
+    );
+    assert!(
+        metric_sample(&page, "srt_serve_batch_size_count") > 0,
+        "no batches observed"
+    );
+    assert!(
+        metric_sample(&page, "srt_serve_pipelined_total") > 0,
+        "the burst must register as pipelined traffic"
+    );
+    assert!(
+        metric_sample(&page, "srt_serve_responses_total_2xx") >= ok_seen,
+        "fewer 2xx recorded than the {ok_seen} the clients saw"
+    );
+    // The engine is shared with the other tests: its counters can only
+    // be bounded from below, and nothing here may have panicked.
+    assert!(
+        metric_sample(&page, "srt_engine_queries_total") >= routed,
+        "the engine counted fewer than the {routed} queries served"
+    );
+    assert_eq!(metric_sample(&page, "srt_engine_panics_total"), 0);
     drop(conn);
     let report = server.shutdown();
     assert_eq!(report.in_flight_after_drain, 0);
@@ -844,17 +970,47 @@ fn parked_keepalive_fleet_holds_without_thread_per_connection() {
         );
     }
 
-    // The server is still responsive behind the parked fleet.
-    let q = workload(0x1D1E, 1)[0];
+    // The server is still responsive behind the parked fleet: a new
+    // connection is served promptly, and the p50 of 20 live requests
+    // on it stays under 10 ms.
+    let queries = workload(0x1D1E, 20);
     let started = Instant::now();
     let mut live = Client::connect(addr).unwrap();
-    let resp = live.request("POST", "/route", Some(&query_body(&q))).unwrap();
+    let resp = live
+        .request("POST", "/route", Some(&query_body(&queries[0])))
+        .unwrap();
     assert_eq!(resp.status, 200);
     assert!(
         started.elapsed() < Duration::from_secs(2),
         "a new connection waited {:?} behind parked peers",
         started.elapsed()
     );
+    let mut latencies: Vec<Duration> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let started = Instant::now();
+            let resp = live
+                .request("POST", "/route", Some(&query_body(q)))
+                .unwrap();
+            assert_eq!(resp.status, 200, "live request {i} behind the fleet");
+            started.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let p50 = latencies[latencies.len().div_ceil(2) - 1];
+    assert!(
+        p50 < Duration::from_millis(10),
+        "p50 behind the parked fleet is {p50:?} — idle connections are taxing live traffic"
+    );
+
+    // The parked peers are still alive, not merely counted.
+    for (i, c) in fleet.iter_mut().rev().take(5).enumerate() {
+        let resp = c
+            .request("GET", "/healthz", None)
+            .unwrap_or_else(|e| panic!("parked connection {i} died: {e}"));
+        assert_eq!(resp.status, 200, "parked connection {i}");
+    }
 
     drop(live);
     drop(fleet);
