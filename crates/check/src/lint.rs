@@ -22,8 +22,14 @@
 //!   registry version deps and `git` deps are forbidden (the vendoring
 //!   policy — everything external lives under `vendor/`), and `path`
 //!   deps must stay inside the repository.
+//! * **`orphan-pub`** — a `pub fn NAME` in `crates/*/src` whose `NAME`
+//!   appears as a whole word on no code line of any other `.rs` file of
+//!   the tree (`srt_bench/`, `tests/` and `examples/` count as callers;
+//!   a mention in a comment does not). Such a function is public API
+//!   nobody calls: delete it, or make it private when its own file uses
+//!   it.
 //!
-//! Comment lines (`//` in Rust, `#` in TOML) are skipped, as is
+//! Comment lines (`//` in Rust, `#` in TOML) are never flagged, as is
 //! anything under a `tests/fixtures` directory (that's where the lint
 //! self-test plants deliberate violations) and build output under
 //! `target/`.
@@ -36,6 +42,7 @@
 //! the fragment — the fragment may contain spaces; it is the rest of
 //! the line. `#` comments and blank lines are ignored.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -45,7 +52,7 @@ use std::path::{Component, Path, PathBuf};
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// Rule identifier (`lock-unwrap`, `kernels-libm`, `dist-clock`,
-    /// `path-deps`).
+    /// `path-deps`, `orphan-pub`).
     pub rule: &'static str,
     /// File path relative to the lint root, `/`-separated.
     pub file: String,
@@ -124,6 +131,7 @@ pub fn run_lint(root: &Path, allow: &[AllowEntry]) -> io::Result<Vec<Violation>>
     files.sort();
 
     let mut violations = Vec::new();
+    let mut sources = Vec::new();
     for path in &files {
         let rel = rel_str(root, path);
         let Ok(content) = fs::read_to_string(path) else {
@@ -134,8 +142,11 @@ pub fn run_lint(root: &Path, allow: &[AllowEntry]) -> io::Result<Vec<Violation>>
             lint_manifest(root, path, &rel, &content, &mut violations);
         } else if name.ends_with(".rs") {
             lint_rust(&rel, &content, &mut violations);
+            sources.push((rel, content));
         }
     }
+    lint_orphan_pub(&sources, &mut violations);
+    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     violations.retain(|v| !allow.iter().any(|a| a.suppresses(v)));
     Ok(violations)
 }
@@ -208,6 +219,60 @@ fn lint_rust(rel: &str, content: &str, out: &mut Vec<Violation>) {
             push(out, "dist-clock");
         }
     }
+}
+
+/// Flags every `pub fn` in `crates/*/src` whose name no code line of
+/// another file in `sources` mentions as a whole word.
+fn lint_orphan_pub(sources: &[(String, String)], out: &mut Vec<Violation>) {
+    // For each identifier, the number of files whose code names it.
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for (_, content) in sources {
+        let code_words: HashSet<&str> = content
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .flat_map(words)
+            .collect();
+        for word in code_words {
+            *files_naming.entry(word).or_default() += 1;
+        }
+    }
+    for (rel, content) in sources.iter().filter(|(rel, _)| is_crate_src(rel)) {
+        for (i, raw) in content.lines().enumerate() {
+            let line = raw.trim();
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            // The defining file is always one of the files naming it.
+            if files_naming.get(name).copied().unwrap_or(0) <= 1 {
+                out.push(Violation {
+                    rule: "orphan-pub",
+                    file: rel.clone(),
+                    line: i + 1,
+                    text: line.to_string(),
+                });
+            }
+        }
+    }
+}
+
+/// The identifier-shaped words of `text`.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// `NAME` of a `pub fn NAME` / `pub const fn NAME` line.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = rest.strip_prefix("fn ")?;
+    words(rest).next().filter(|name| rest.starts_with(name))
+}
+
+/// `crates/<name>/src/...`.
+fn is_crate_src(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
 }
 
 /// True when the header line opens a dependency table of any flavor
@@ -369,6 +434,20 @@ mod tests {
         assert!(path_stays_inside(root, member, "../other"));
         assert!(!path_stays_inside(root, member, "../../../elsewhere"));
         assert!(!path_stays_inside(root, member, "/abs/path"));
+    }
+
+    #[test]
+    fn pub_fn_names_and_crate_sources() {
+        assert_eq!(pub_fn_name("pub fn route(&self) -> u32 {"), Some("route"));
+        assert_eq!(pub_fn_name("pub const fn len() -> usize {"), Some("len"));
+        assert_eq!(pub_fn_name("pub fn into<T>(x: T) {"), Some("into"));
+        assert_eq!(pub_fn_name("pub(crate) fn hidden() {"), None);
+        assert_eq!(pub_fn_name("fn private() {"), None);
+        assert_eq!(pub_fn_name("// pub fn commented() {"), None);
+        assert!(is_crate_src("crates/core/src/routing/engine.rs"));
+        assert!(!is_crate_src("crates/core/tests/proptest_routing.rs"));
+        assert!(!is_crate_src("src/lib.rs"));
+        assert!(!is_crate_src("srt_bench/src/layers.rs"));
     }
 
     #[test]

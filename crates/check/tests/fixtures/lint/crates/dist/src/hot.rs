@@ -1,7 +1,7 @@
 //! Lint fixture: plants exactly one `dist-clock` violation.
 //! Never compiled — scanned by the lint self-test.
 
-pub fn bad_clock() -> u64 {
+fn bad_clock() -> u64 {
     let t = std::time::Instant::now();
     t.elapsed().as_nanos() as u64
 }

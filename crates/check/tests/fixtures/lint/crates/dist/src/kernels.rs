@@ -2,6 +2,6 @@
 //! Never compiled — scanned by the lint self-test.
 //! A doc mention of .floor() and .ceil() must NOT count (comment line).
 
-pub fn bad_floor(x: f64) -> usize {
+fn bad_floor(x: f64) -> usize {
     x.floor() as usize
 }

@@ -35,7 +35,22 @@ fn fixtures_trip_every_rule_class() {
     // Registry version dep + git dep + repo-escaping path dep; the
     // in-repo path dep and the workspace dep are clean.
     assert_eq!(count(&violations, "path-deps"), 3, "{violations:?}");
-    assert_eq!(violations.len(), 6, "no unexpected findings: {violations:?}");
+    // `planted_orphan` is named elsewhere only in a comment;
+    // `called_from_tests` is called from the fixture's `tests/uses.rs`,
+    // `private_helper` is not `pub`, and the commented-out definition is
+    // a comment.
+    let orphans: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == "orphan-pub")
+        .collect();
+    assert_eq!(orphans.len(), 1, "{violations:?}");
+    assert_eq!(orphans[0].file, "crates/orphan/src/lib.rs");
+    assert!(orphans[0].text.contains("planted_orphan"), "{orphans:?}");
+    assert_eq!(
+        violations.len(),
+        7,
+        "no unexpected findings: {violations:?}"
+    );
 }
 
 #[test]
@@ -58,7 +73,8 @@ fn allowlist_suppresses_each_class() {
         "lock-unwrap locky.rs\n\
          kernels-libm kernels.rs .floor()\n\
          dist-clock hot.rs Instant::now\n\
-         path-deps Cargo.toml\n",
+         path-deps Cargo.toml\n\
+         orphan-pub crates/orphan/ planted_orphan\n",
     );
     let violations = run_lint(&fixture_root(), &allow).expect("fixture walk succeeds");
     assert!(violations.is_empty(), "not suppressed: {violations:?}");
@@ -77,7 +93,13 @@ fn cli_exits_nonzero_on_fixture_violations() {
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in ["lock-unwrap", "kernels-libm", "dist-clock", "path-deps"] {
+    for rule in [
+        "lock-unwrap",
+        "kernels-libm",
+        "dist-clock",
+        "path-deps",
+        "orphan-pub",
+    ] {
         assert!(stdout.contains(rule), "missing [{rule}] in:\n{stdout}");
     }
 }

@@ -133,11 +133,6 @@ impl HybridCost {
         &self.model
     }
 
-    /// Shared handle to the hybrid model.
-    pub fn model_arc(&self) -> Arc<HybridModel> {
-        Arc::clone(&self.model)
-    }
-
     /// Shared handle to the per-edge marginals.
     pub fn marginals_arc(&self) -> Arc<[Histogram]> {
         Arc::clone(&self.marginals)

@@ -67,7 +67,7 @@ impl DependenceClassifier {
     /// Bounds on `P(dependent)` over *every* completion of the unknown
     /// (`None`) features, from an interval walk of each tree
     /// ([`srt_ml::forest::RandomForestClassifier::predict_proba_bounds_row`]).
-    pub fn prob_dependent_bounds(&self, features: &[Option<f64>]) -> (f64, f64) {
+    fn prob_dependent_bounds(&self, features: &[Option<f64>]) -> (f64, f64) {
         let (lo, hi) = self.forest.predict_proba_bounds_row(features);
         (lo[1], hi[1])
     }

@@ -131,7 +131,7 @@ impl SupportEnvelope {
     ///
     /// # Panics
     /// Panics if `hi <= lo` (estimator supports are non-degenerate).
-    pub fn instantiate(&self, lo: f64, hi: f64) -> MassEnvelope {
+    fn instantiate(&self, lo: f64, hi: f64) -> MassEnvelope {
         assert!(hi > lo, "envelope support must be non-degenerate");
         let width = (hi - lo) / self.bins() as f64;
         MassEnvelope::new(lo, width, self.bounds.clone())

@@ -12,17 +12,17 @@
 //! bins    u32
 //! estimator  (see DistributionEstimator::write_bytes)
 //! classifier (see DependenceClassifier::write_bytes)
-//! calib_flag u8   (v2+) 0 = absent, 1 = present
-//! calibration     (v2+, if present; see DominanceCalibration::write_bytes)
-//! env_flag   u8   (v3+) 0 = absent, 1 = present
-//! envelope        (v3+, if present; see SupportEnvelope::write_bytes)
+//! calib_flag u8   0 = absent, 1 = present
+//! calibration     (if present; see DominanceCalibration::write_bytes)
+//! env_flag   u8   0 = absent, 1 = present
+//! envelope        (if present; see SupportEnvelope::write_bytes)
 //! ```
 //!
-//! Version 1 snapshots (no calibration trailer) and version 2 snapshots
-//! (no envelope trailer) still decode; they yield models with
-//! `calibration: None` / `envelope: None` respectively, for which the
-//! router's margin dominance and certified-envelope bound degenerate to
-//! their most conservative forms.
+//! Only version 3 decodes; older headers are refused as unsupported. A
+//! snapshot with either flag at 0 yields a model with
+//! `calibration: None` / `envelope: None`, for which the router's margin
+//! dominance and certified-envelope bound degenerate to their most
+//! conservative forms.
 
 use crate::error::CoreError;
 use crate::model::calibration::DominanceCalibration;
@@ -34,8 +34,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: u32 = 0x5352_4D4F;
 const VERSION: u32 = 3;
-/// Oldest snapshot version this decoder still accepts.
-const MIN_VERSION: u32 = 1;
+/// Oldest snapshot version this decoder accepts: only the current one.
+const MIN_VERSION: u32 = 3;
 
 /// Serializes a trained hybrid model.
 pub fn to_bytes(model: &HybridModel) -> Bytes {
@@ -62,7 +62,7 @@ pub fn to_bytes(model: &HybridModel) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a hybrid model snapshot (current, v2 or v1 format).
+/// Deserializes a hybrid model snapshot.
 ///
 /// # Errors
 /// [`CoreError::Ml`] wrapping a `Corrupt` error on malformed payloads.
@@ -88,29 +88,21 @@ pub fn from_bytes(mut data: &[u8]) -> Result<HybridModel, CoreError> {
             estimator.bins()
         )));
     }
-    let calibration = if version >= 2 {
-        if data.remaining() < 1 {
-            return Err(corrupt("truncated calibration flag".into()));
-        }
-        match data.get_u8() {
-            0 => None,
-            1 => Some(DominanceCalibration::read_bytes(&mut data)?),
-            flag => return Err(corrupt(format!("bad calibration flag {flag}"))),
-        }
-    } else {
-        None
+    if data.remaining() < 1 {
+        return Err(corrupt("truncated calibration flag".into()));
+    }
+    let calibration = match data.get_u8() {
+        0 => None,
+        1 => Some(DominanceCalibration::read_bytes(&mut data)?),
+        flag => return Err(corrupt(format!("bad calibration flag {flag}"))),
     };
-    let envelope = if version >= 3 {
-        if data.remaining() < 1 {
-            return Err(corrupt("truncated envelope flag".into()));
-        }
-        match data.get_u8() {
-            0 => None,
-            1 => Some(SupportEnvelope::read_bytes(&mut data)?),
-            flag => return Err(corrupt(format!("bad envelope flag {flag}"))),
-        }
-    } else {
-        None
+    if data.remaining() < 1 {
+        return Err(corrupt("truncated envelope flag".into()));
+    }
+    let envelope = match data.get_u8() {
+        0 => None,
+        1 => Some(SupportEnvelope::read_bytes(&mut data)?),
+        flag => return Err(corrupt(format!("bad envelope flag {flag}"))),
     };
     if !data.is_empty() {
         return Err(corrupt(format!("{} trailing bytes", data.len())));
@@ -133,18 +125,6 @@ pub fn write_file(path: impl AsRef<std::path::Path>, model: &HybridModel) -> Res
     let path = path.as_ref();
     std::fs::write(path, to_bytes(model))
         .map_err(|e| CoreError::Io(format!("writing {}: {e}", path.display())))
-}
-
-/// Reads and decodes a model snapshot from `path`.
-///
-/// # Errors
-/// [`CoreError::Io`] on filesystem failure, [`CoreError::Ml`] on a
-/// corrupt payload (same contract as [`from_bytes`]).
-pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<HybridModel, CoreError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)
-        .map_err(|e| CoreError::Io(format!("reading {}: {e}", path.display())))?;
-    from_bytes(&bytes)
 }
 
 #[cfg(test)]
@@ -202,47 +182,39 @@ mod tests {
     }
 
     #[test]
-    fn version_one_snapshots_still_decode() {
+    fn only_version_three_decodes() {
         use bytes::BufMut;
         let (model, _) = train_hybrid(world(), &training()).unwrap();
-        // Hand-assemble the v1 layout: header + estimator + classifier,
-        // no calibration trailer.
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(1);
-        buf.put_u32_le(model.bins as u32);
-        model.estimator.write_bytes(&mut buf);
-        model.classifier.write_bytes(&mut buf);
-        let legacy = from_bytes(&buf).unwrap();
-        assert_eq!(legacy.bins, model.bins);
-        assert!(legacy.calibration.is_none(), "v1 has no calibration");
-        assert!(legacy.envelope.is_none(), "v1 has no envelope");
-        // A v1 payload with a trailer is rejected (v1 never wrote one).
-        buf.put_u8(0);
-        assert!(from_bytes(&buf).is_err());
-    }
-
-    #[test]
-    fn version_two_snapshots_still_decode() {
-        use bytes::BufMut;
-        let (model, _) = train_hybrid(world(), &training()).unwrap();
-        // Hand-assemble the v2 layout: header + estimator + classifier +
-        // calibration trailer, no envelope trailer.
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(2);
-        buf.put_u32_le(model.bins as u32);
-        model.estimator.write_bytes(&mut buf);
-        model.classifier.write_bytes(&mut buf);
-        buf.put_u8(1);
-        model.calibration.as_ref().unwrap().write_bytes(&mut buf);
-        let legacy = from_bytes(&buf).unwrap();
-        assert_eq!(legacy.bins, model.bins);
-        assert_eq!(legacy.calibration, model.calibration, "v2 keeps its calibration");
-        assert!(legacy.envelope.is_none(), "v2 has no envelope");
-        // A v2 payload with a trailer is rejected (v2 never wrote one).
-        buf.put_u8(0);
-        assert!(from_bytes(&buf).is_err());
+        // Header + estimator + classifier, then the two trailer flags.
+        let snapshot = |version: u32, flags: &[u8]| {
+            let mut buf = bytes::BytesMut::new();
+            buf.put_u32_le(MAGIC);
+            buf.put_u32_le(version);
+            buf.put_u32_le(model.bins as u32);
+            model.estimator.write_bytes(&mut buf);
+            model.classifier.write_bytes(&mut buf);
+            buf.put_slice(flags);
+            buf
+        };
+        // The v1 (no trailer) and v2 (calibration flag only) layouts are
+        // refused by their header, whatever follows it.
+        for (version, flags) in [(1, &[][..]), (2, &[0][..]), (2, &[0, 0][..])] {
+            let err = from_bytes(&snapshot(version, flags)).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported model version"),
+                "v{version}: {err}"
+            );
+        }
+        // A v3 snapshot with both flags at 0 decodes to the degraded model.
+        let mut bare = snapshot(3, &[0, 0]);
+        let decoded = from_bytes(&bare).unwrap();
+        assert_eq!(decoded.bins, model.bins);
+        assert!(decoded.calibration.is_none(), "calibration flag 0");
+        assert!(decoded.envelope.is_none(), "envelope flag 0");
+        assert_eq!(to_bytes(&decoded)[..], bare[..]);
+        // A trailing byte after it is refused.
+        bare.put_u8(0);
+        assert!(from_bytes(&bare).is_err());
     }
 
     #[test]

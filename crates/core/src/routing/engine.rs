@@ -932,7 +932,7 @@ impl RoutingEngine {
     /// `Arc` clone. The pin is immutable and survives any number of
     /// subsequent swaps; the epoch's storage is freed when the last pin
     /// drops.
-    pub fn current_epoch(&self) -> Arc<ModelEpoch> {
+    fn current_epoch(&self) -> Arc<ModelEpoch> {
         self.epoch.pin()
     }
 
@@ -1179,7 +1179,7 @@ impl RoutingEngine {
     /// batch executors pin once and serve every query of the batch
     /// against the same model generation, so a swap that publishes
     /// mid-batch cannot split the batch across epochs.
-    pub fn route_pinned(
+    fn route_pinned(
         &self,
         epoch: &ModelEpoch,
         query: &Query,

@@ -317,11 +317,6 @@ impl DominancePolicy {
         DominancePolicy { mode, eps }
     }
 
-    /// The mode this policy runs in.
-    pub fn mode(&self) -> DominanceMode {
-        self.mode
-    }
-
     /// The resolved margin (meaningful for [`DominanceMode::Margin`]).
     pub fn eps(&self) -> f64 {
         self.eps
@@ -330,11 +325,6 @@ impl DominancePolicy {
     /// Whether the policy compares labels at all.
     pub fn enabled(&self) -> bool {
         self.mode != DominanceMode::Off
-    }
-
-    /// Whether this mode consumes the convolution certificate.
-    pub fn needs_certificate(&self) -> bool {
-        self.mode == DominanceMode::ConvGated
     }
 
     /// Whether this mode requires the exchange-safety (U-turn) check —
@@ -453,7 +443,7 @@ pub fn uturn_free(g: &RoadGraph, vertex: NodeId, prev: NodeId) -> bool {
 ///
 /// 1. *Pair certificates*: for each consecutive edge pair `(e, e')`, the
 ///    gate classifier's interval bounds
-///    ([`crate::model::DependenceClassifier::prob_dependent_bounds`])
+///    (`DependenceClassifier::prob_dependent_bounds`)
 ///    over all possible pre-distributions prove the gate picks
 ///    convolution, or fail to.
 /// 2. *Greatest fixpoint*: `all_conv[e]` holds iff every U-turn-free

@@ -175,7 +175,7 @@ impl MassEnvelope {
     /// through an incremental [`CdfScanner`] per run — `O(n + m)` per
     /// check instead of a fresh prefix sum per knot, bit-identical to
     /// calling [`HistogramView::cdf`] at every point.
-    pub fn contains_view(&self, h: &HistogramView<'_>) -> bool {
+    fn contains_view(&self, h: &HistogramView<'_>) -> bool {
         let mut ok = true;
         let mut scan = CdfScanner::new(*h);
         for k in 0..self.bounds.len() {

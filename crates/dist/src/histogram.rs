@@ -418,12 +418,6 @@ impl Histogram {
         }
     }
 
-    /// Splits the histogram into `(offset, zero-anchored shape)` — pruning
-    /// (c)'s label representation: `self == shape.shift(offset)`.
-    pub fn shifted_to_zero(&self) -> (f64, Histogram) {
-        (self.start, self.shift(-self.start))
-    }
-
     /// Re-buckets onto `nbins` buckets over the same support, splitting
     /// each bucket's mass by interval overlap.
     ///
@@ -607,7 +601,7 @@ mod tests {
     #[test]
     fn shift_and_shifted_to_zero_round_trip() {
         let h = Histogram::new(30.0, 5.0, vec![0.5, 0.5]).unwrap();
-        let (offset, shape) = h.shifted_to_zero();
+        let (offset, shape) = (h.start(), h.shift(-h.start()));
         assert_eq!(offset, 30.0);
         assert_eq!(shape.start(), 0.0);
         assert_eq!(shape.shift(offset), h);

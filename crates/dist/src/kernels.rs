@@ -53,7 +53,7 @@
 //!   kernel ([`accumulate_direct_capped`]) walks its operand's CDF with
 //!   one scanner per fine bucket, and is bit-identical to the twin that
 //!   calls the one-shot scan per point
-//!   ([`crate::reference::accumulate_direct_capped_ref`]).
+//!   (`reference::accumulate_direct_capped_ref`).
 //!
 //! The closed-form kernel is the one entry that is not a restructuring of
 //! the loop it replaced: it computes the capped mixed-width convolution by
@@ -228,7 +228,7 @@ pub(crate) fn accumulate_capped(
 /// raw (they sum to one up to rounding, pending the caller's single
 /// normalization). Per output slot the additions run in ascending `j` —
 /// bit-identical to the prefix-re-summing scalar twin
-/// [`crate::reference::accumulate_direct_capped_ref`].
+/// `reference::accumulate_direct_capped_ref`.
 pub(crate) fn accumulate_direct_capped(
     coarse: &[f64],
     w_coarse: f64,

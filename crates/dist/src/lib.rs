@@ -6,9 +6,8 @@
 //!
 //! * [`convolve`] / [`convolve_bounded`] — the independence-assuming
 //!   combination step; the bounded variant caps output buckets so
-//!   routing labels stay small (pruning (c)'s zero-anchored shapes are
-//!   produced by [`Histogram::shifted_to_zero`]). Each has an in-place
-//!   twin ([`convolve_into`] / [`convolve_bounded_into`]) writing into a
+//!   routing labels stay small. Each has an in-place twin
+//!   ([`convolve_into`] / [`convolve_bounded_into`]) writing into a
 //!   caller-provided buffer — the allocation-free forms the routing
 //!   engine's hot loop runs on,
 //! * [`pool`] — [`HistogramPool`] / [`HistogramBuf`], the recycled

@@ -185,8 +185,9 @@ impl HistogramPool {
 /// [`HistogramBuf::into_histogram`] applies it (and the full validation)
 /// once, which is what keeps pooled results bit-for-bit identical to the
 /// value-returning twins. Multi-stage pipelines that used to materialize
-/// an intermediate `Histogram` (combine **then** re-bin) reproduce the
-/// intermediate normalization with [`HistogramBuf::normalize`].
+/// an intermediate `Histogram` (combine **then** re-bin) get that
+/// intermediate normalization from [`HistogramBuf::cap_bins`], which
+/// applies it before re-binning.
 #[derive(Debug)]
 pub struct HistogramBuf {
     pub(crate) start: f64,
@@ -247,10 +248,9 @@ impl HistogramBuf {
         &self.probs
     }
 
-    /// A borrowed view over the buffer. Meaningful once the masses are
-    /// normalized (after [`HistogramBuf::normalize`], or when the buf was
-    /// filled with already-normalized masses such as a staged copy of a
-    /// label histogram).
+    /// A borrowed view over the buffer. Meaningful when the masses are
+    /// normalized, as when the buf was filled with already-normalized
+    /// masses such as a staged copy of a label histogram.
     pub fn as_view(&self) -> HistogramView<'_> {
         HistogramView::from_raw(self.start, self.width, &self.probs)
     }
@@ -278,7 +278,7 @@ impl HistogramBuf {
     /// this exactly where the value-returning pipeline materialized an
     /// intermediate `Histogram`, keeping every float operation in the
     /// same order.
-    pub fn normalize(&mut self) {
+    fn normalize(&mut self) {
         normalize_masses(&mut self.probs);
     }
 

@@ -11,7 +11,7 @@
 //! testing and benchmarking.
 //!
 //! The closed-form capped mixed-width kernel has two entries here. Its
-//! scalar twin [`accumulate_direct_capped_ref`] carries the bitwise
+//! scalar twin `accumulate_direct_capped_ref` carries the bitwise
 //! contract like every other pair. The projecting pipeline it replaced is
 //! kept as [`convolve_bounded_projected_ref`]: the two are *not* bitwise
 //! equal (the closed form skips the chord-smoothing of the fine lattice),
@@ -139,7 +139,7 @@ pub fn convolve_into_ref(
 /// `u`, `t` and interpolation expressions, but every `A(u)` is a one-shot
 /// [`cdf_ref`] that re-sums its prefix from `0.0` instead of carrying it
 /// across ascending knots (clears and zero-fills `out` to `nbins` first).
-pub fn accumulate_direct_capped_ref(
+fn accumulate_direct_capped_ref(
     coarse: &[f64],
     w_coarse: f64,
     fine: &[f64],
@@ -168,7 +168,7 @@ pub fn accumulate_direct_capped_ref(
 /// projection, the capped aligned path materializing the full product
 /// grid in a pooled temporary and redistributing it (what the fused
 /// kernel reproduces bit-for-bit without the temporary), the capped
-/// mismatched path through [`accumulate_direct_capped_ref`].
+/// mismatched path through `accumulate_direct_capped_ref`.
 ///
 /// # Errors
 /// [`DistError::ZeroBins`] when `max_bins == 0`.

@@ -42,7 +42,7 @@ impl IntroResult {
 }
 
 /// The two paths exactly as tabulated in the paper.
-pub fn paper_paths() -> (Histogram, Histogram) {
+fn paper_paths() -> (Histogram, Histogram) {
     let p1 = Histogram::new(40.0, 10.0, vec![0.3, 0.6, 0.1]).expect("paper table is valid");
     let p2 = Histogram::new(40.0, 10.0, vec![0.6, 0.2, 0.2]).expect("paper table is valid");
     (p1, p2)

@@ -44,7 +44,7 @@ pub struct QualityRow {
 
 /// Anytime limits standing in for the paper's 1/5/10 seconds, scaled to
 /// the synthetic network size.
-pub fn anytime_limits(scale: Scale) -> [Duration; 3] {
+fn anytime_limits(scale: Scale) -> [Duration; 3] {
     match scale {
         Scale::Tiny => [
             Duration::from_micros(100),

@@ -35,11 +35,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()

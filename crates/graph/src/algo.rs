@@ -369,7 +369,7 @@ where
 
 /// Dijkstra variant where `weight` may *ban* edges by returning `None`.
 /// Used by Yen's k-shortest-paths spur searches.
-pub fn dijkstra_filtered<W>(
+fn dijkstra_filtered<W>(
     g: &RoadGraph,
     source: NodeId,
     target: NodeId,
@@ -516,7 +516,7 @@ where
 ///
 /// Returns `comp[v]` — a component id per vertex. Ids are dense in
 /// `0..num_components` in reverse topological order of the condensation.
-pub fn strongly_connected_components(g: &RoadGraph) -> (Vec<u32>, usize) {
+fn strongly_connected_components(g: &RoadGraph) -> (Vec<u32>, usize) {
     let n = g.num_nodes();
     const UNVISITED: u32 = u32::MAX;
     let mut index = vec![UNVISITED; n];

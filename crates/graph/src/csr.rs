@@ -165,26 +165,9 @@ impl RoadGraph {
         ))
     }
 
-    /// Straight-line (haversine) distance between two vertices in metres.
-    #[inline]
-    pub fn straight_line_m(&self, a: NodeId, b: NodeId) -> f64 {
-        self.point(a).haversine_m(&self.point(b))
-    }
-
     /// Total length in metres over a slice of edges.
     pub fn path_length_m(&self, edges: &[EdgeId]) -> f64 {
         edges.iter().map(|&e| self.attrs(e).length_m).sum()
-    }
-
-    /// Sum of free-flow (minimal) travel times over a slice of edges.
-    pub fn path_freeflow_s(&self, edges: &[EdgeId]) -> f64 {
-        edges.iter().map(|&e| self.attrs(e).freeflow_time_s()).sum()
-    }
-
-    /// `true` if `v` is a valid node id of this graph.
-    #[inline]
-    pub fn contains_node(&self, v: NodeId) -> bool {
-        v.index() < self.num_nodes()
     }
 
     /// `true` if `e` is a valid edge id of this graph.
@@ -281,15 +264,11 @@ mod tests {
         let g = diamond();
         let edges = [EdgeId(0), EdgeId(2)];
         assert!((g.path_length_m(&edges) - 1600.0).abs() < 1e-9);
-        let expected = g.attrs(EdgeId(0)).freeflow_time_s() + g.attrs(EdgeId(2)).freeflow_time_s();
-        assert!((g.path_freeflow_s(&edges) - expected).abs() < 1e-9);
     }
 
     #[test]
     fn contains_checks_bounds() {
         let g = diamond();
-        assert!(g.contains_node(NodeId(3)));
-        assert!(!g.contains_node(NodeId(4)));
         assert!(g.contains_edge(EdgeId(4)));
         assert!(!g.contains_edge(EdgeId(5)));
     }

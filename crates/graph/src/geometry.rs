@@ -37,7 +37,7 @@ impl Point {
     }
 
     /// Initial bearing from `self` towards `other`, in degrees `[0, 360)`.
-    pub fn bearing_deg(&self, other: &Point) -> f64 {
+    fn bearing_deg(&self, other: &Point) -> f64 {
         let lat1 = self.lat.to_radians();
         let lat2 = other.lat.to_radians();
         let dlon = (other.lon - self.lon).to_radians();

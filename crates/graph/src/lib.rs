@@ -13,8 +13,8 @@
 //! * [`algo::backward_dijkstra`] — all-to-one shortest paths on the reverse
 //!   graph, used for the A*-style *optimistic remaining cost* bound
 //!   (pruning (a) in the paper),
-//! * [`algo::strongly_connected_components`] — Tarjan SCC, used to restrict
-//!   synthetic networks to their largest strongly connected component,
+//! * [`algo::largest_scc`] — Tarjan SCC, used to restrict synthetic
+//!   networks to their largest strongly connected component,
 //! * [`bounds::OptimisticBounds`] — cached per-vertex lower bounds.
 //!
 //! # Example

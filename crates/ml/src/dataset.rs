@@ -52,17 +52,6 @@ impl Matrix {
         }
     }
 
-    /// Builds from a flat row-major buffer.
-    ///
-    /// # Errors
-    /// [`MlError::EmptyDataset`] if empty or the length is not `rows*cols`.
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, MlError> {
-        if rows == 0 || cols == 0 || data.len() != rows * cols {
-            return Err(MlError::EmptyDataset);
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Number of rows (observations).
     #[inline]
     pub fn rows(&self) -> usize {
@@ -93,48 +82,9 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Sets element `(r, c)`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.cols + c] = v;
-    }
-
     /// Column `c` as an owned vector.
     pub fn column(&self, c: usize) -> Vec<f64> {
         (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
-    /// Selects the given rows into a new matrix.
-    pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(idx.len() * self.cols);
-        for &i in idx {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix {
-            rows: idx.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Iterates over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
-    }
-
-    /// Per-column means.
-    pub fn column_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for (m, v) in means.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        let n = self.rows as f64;
-        for m in &mut means {
-            *m /= n;
-        }
-        means
     }
 }
 
@@ -149,6 +99,7 @@ mod tests {
         assert_eq!(m.cols(), 2);
         assert_eq!(m.row(0), &[1.0, 2.0]);
         assert_eq!(m.get(1, 1), 4.0);
+        assert_eq!(m.column(1), vec![2.0, 4.0]);
     }
 
     #[test]
@@ -164,22 +115,6 @@ mod tests {
             Matrix::from_rows(&[vec![]]),
             Err(MlError::EmptyDataset)
         ));
-        assert!(Matrix::from_flat(2, 2, vec![0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn select_rows_subsets() {
-        let m = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let s = m.select_rows(&[2, 0]);
-        assert_eq!(s.row(0), &[3.0]);
-        assert_eq!(s.row(1), &[1.0]);
-    }
-
-    #[test]
-    fn column_and_means() {
-        let m = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0]]).unwrap();
-        assert_eq!(m.column(1), vec![10.0, 30.0]);
-        assert_eq!(m.column_means(), vec![2.0, 20.0]);
     }
 
     #[test]
@@ -187,15 +122,6 @@ mod tests {
         let mut m = Matrix::zeros(2, 2);
         m.row_mut(1)[0] = 9.0;
         assert_eq!(m.get(1, 0), 9.0);
-        m.set(0, 1, 5.0);
-        assert_eq!(m.row(0), &[0.0, 5.0]);
-    }
-
-    #[test]
-    fn iter_rows_covers_all() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let all: Vec<&[f64]> = m.iter_rows().collect();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1], &[3.0, 4.0]);
+        assert_eq!(m.row(0), &[0.0, 0.0]);
     }
 }

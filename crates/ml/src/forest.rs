@@ -295,7 +295,7 @@ impl RandomForestClassifier {
     /// caller-provided buffer (cleared and zero-filled first) — the
     /// allocation-free form. Bit-identical to the value-returning form,
     /// which delegates here.
-    pub fn predict_proba_row_into(&self, features: &[f64], out: &mut Vec<f64>) {
+    fn predict_proba_row_into(&self, features: &[f64], out: &mut Vec<f64>) {
         assert_eq!(
             features.len(),
             self.n_features,

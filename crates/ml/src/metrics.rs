@@ -1,32 +1,5 @@
 //! Evaluation metrics for regression and binary classification.
 
-/// Mean squared error over paired slices.
-///
-/// # Panics
-/// Panics on length mismatch or empty input (programming errors).
-pub fn mse(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "mse length mismatch");
-    assert!(!truth.is_empty(), "mse on empty slices");
-    truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p) * (t - p))
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
-/// Root mean squared error.
-pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
-    mse(truth, pred).sqrt()
-}
-
-/// Mean absolute error.
-pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "mae length mismatch");
-    assert!(!truth.is_empty(), "mae on empty slices");
-    truth.iter().zip(pred).map(|(t, p)| (t - p).abs()).sum::<f64>() / truth.len() as f64
-}
-
 /// Coefficient of determination R² (1 is perfect, 0 matches the mean
 /// predictor, negative is worse than the mean predictor).
 pub fn r2(truth: &[f64], pred: &[f64]) -> f64 {
@@ -84,7 +57,7 @@ impl Confusion {
     }
 
     /// Precision `tp / (tp + fp)`, 0 when undefined.
-    pub fn precision(&self) -> f64 {
+    fn precision(&self) -> f64 {
         if self.tp + self.fp == 0 {
             0.0
         } else {
@@ -93,7 +66,7 @@ impl Confusion {
     }
 
     /// Recall `tp / (tp + fn)`, 0 when undefined.
-    pub fn recall(&self) -> f64 {
+    fn recall(&self) -> f64 {
         if self.tp + self.fn_ == 0 {
             0.0
         } else {
@@ -123,39 +96,6 @@ impl Confusion {
     }
 }
 
-/// Binary cross-entropy of predicted `P(label = 1)` values, clamped away
-/// from 0/1 for numerical safety.
-pub fn log_loss(truth: &[usize], proba: &[f64]) -> f64 {
-    assert_eq!(truth.len(), proba.len(), "log_loss length mismatch");
-    assert!(!truth.is_empty(), "log_loss on empty slices");
-    let eps = 1e-12;
-    truth
-        .iter()
-        .zip(proba)
-        .map(|(&t, &p)| {
-            let p = p.clamp(eps, 1.0 - eps);
-            if t == 1 {
-                -p.ln()
-            } else {
-                -(1.0 - p).ln()
-            }
-        })
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
-/// Brier score (MSE of probabilities against outcomes).
-pub fn brier(truth: &[usize], proba: &[f64]) -> f64 {
-    assert_eq!(truth.len(), proba.len(), "brier length mismatch");
-    assert!(!truth.is_empty(), "brier on empty slices");
-    truth
-        .iter()
-        .zip(proba)
-        .map(|(&t, &p)| (p - t as f64) * (p - t as f64))
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,19 +103,7 @@ mod tests {
     #[test]
     fn regression_metrics_on_perfect_predictions() {
         let t = [1.0, 2.0, 3.0];
-        assert_eq!(mse(&t, &t), 0.0);
-        assert_eq!(rmse(&t, &t), 0.0);
-        assert_eq!(mae(&t, &t), 0.0);
         assert_eq!(r2(&t, &t), 1.0);
-    }
-
-    #[test]
-    fn mse_matches_hand_computation() {
-        let t = [0.0, 0.0];
-        let p = [1.0, 3.0];
-        assert!((mse(&t, &p) - 5.0).abs() < 1e-12);
-        assert!((mae(&t, &p) - 2.0).abs() < 1e-12);
-        assert!((rmse(&t, &p) - 5.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -215,24 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn log_loss_rewards_confident_correct_predictions() {
-        let good = log_loss(&[1, 0], &[0.99, 0.01]);
-        let bad = log_loss(&[1, 0], &[0.6, 0.4]);
-        let terrible = log_loss(&[1, 0], &[0.01, 0.99]);
-        assert!(good < bad && bad < terrible);
-        // Extreme probabilities don't produce infinities.
-        assert!(log_loss(&[1], &[0.0]).is_finite());
-    }
-
-    #[test]
-    fn brier_is_bounded() {
-        assert_eq!(brier(&[1, 0], &[1.0, 0.0]), 0.0);
-        assert_eq!(brier(&[1, 0], &[0.0, 1.0]), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = mse(&[1.0], &[1.0, 2.0]);
+        let _ = r2(&[1.0], &[1.0, 2.0]);
     }
 }

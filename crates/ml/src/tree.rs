@@ -439,19 +439,6 @@ impl RegressionTree {
         self.nodes.len()
     }
 
-    /// Tree depth (diagnostic).
-    pub fn depth(&self) -> usize {
-        fn rec(nodes: &[TreeNode], at: u32) -> usize {
-            let n = &nodes[at as usize];
-            if n.is_leaf() {
-                0
-            } else {
-                1 + rec(nodes, n.left).max(rec(nodes, n.right))
-            }
-        }
-        rec(&self.nodes, 0)
-    }
-
     /// Number of outputs per prediction.
     pub fn n_outputs(&self) -> usize {
         self.n_outputs
@@ -1011,9 +998,17 @@ mod tests {
 
     #[test]
     fn depth_reports_reasonably() {
+        fn depth(nodes: &[TreeNode], at: u32) -> usize {
+            let n = &nodes[at as usize];
+            if n.is_leaf() {
+                0
+            } else {
+                1 + depth(nodes, n.left).max(depth(nodes, n.right))
+            }
+        }
         let (x, y) = step_data();
         let t = RegressionTree::fit(&x, &y, &TreeConfig::default(), &mut rng()).unwrap();
-        assert!(t.depth() >= 1);
-        assert!(t.depth() <= 12);
+        assert!(depth(&t.nodes, 0) >= 1);
+        assert!(depth(&t.nodes, 0) <= 12);
     }
 }

@@ -511,18 +511,14 @@ pub(crate) fn io_loop(
                             // Framing is unrecoverable after a bad
                             // head: answer (in order) and stop reading.
                             conn.reads_done = true;
-                            if let Some(status) = e.status() {
-                                let seq = conn.next_seq;
-                                conn.next_seq += 1;
-                                let resp = Response::json(
-                                    status,
-                                    protocol_error_body("bad_request", &e.detail()),
-                                )
-                                .closing();
-                                conn.parked.insert(seq, (resp, Instant::now()));
-                            } else {
-                                dead = true;
-                            }
+                            let seq = conn.next_seq;
+                            conn.next_seq += 1;
+                            let resp = Response::json(
+                                e.status(),
+                                protocol_error_body("bad_request", &e.detail()),
+                            )
+                            .closing();
+                            conn.parked.insert(seq, (resp, Instant::now()));
                             progress = true;
                         }
                     }

@@ -1,15 +1,18 @@
-//! Minimal HTTP/1.1 framing over blocking streams — exactly what the
-//! four endpoints need, nothing else.
+//! Minimal HTTP/1.1 framing for the nonblocking connection plane — exactly
+//! what the five endpoints need, nothing else: [`parse_buffered`] parses
+//! requests off the front of a connection's read buffer, and
+//! [`write_response`] frames the answers.
 //!
 //! Supported: request-line + header parsing with hard size caps,
-//! `Content-Length` bodies, keep-alive (HTTP/1.1 default) and
+//! `Content-Length` bodies, keep-alive (HTTP/1.1 default), pipelining and
 //! `Connection: close`. Deliberately unsupported (answered with a clean
 //! error, never undefined behaviour): chunked transfer encoding (`501`),
 //! bodies without a length (`411`), oversized headers or bodies (`431`
-//! / `413`). The parser trusts nothing: every limit is enforced while
-//! reading, so a hostile peer cannot make the server allocate unboundedly.
+//! / `413`). The parser trusts nothing: every limit is checked as soon as
+//! the buffered bytes reveal it, so a hostile peer cannot make the server
+//! allocate unboundedly.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Write};
 
 /// Cap on the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -34,7 +37,7 @@ pub struct Request {
 
 impl Request {
     /// First value of `name` (lower-case), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -50,15 +53,10 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed. Everything except `Closed`/`Io`
-/// maps to a definite status code via [`RequestError::status`].
+/// Why a request could not be parsed; each maps to a definite status
+/// code via [`RequestError::status`].
 #[derive(Debug)]
 pub enum RequestError {
-    /// The peer closed the connection cleanly before sending a request
-    /// (the normal end of a keep-alive session).
-    Closed,
-    /// Transport error (includes read timeouts on idle connections).
-    Io(io::Error),
     /// Syntactically broken request head.
     Malformed(&'static str),
     /// Head grew past [`MAX_HEAD_BYTES`].
@@ -72,24 +70,20 @@ pub enum RequestError {
 }
 
 impl RequestError {
-    /// The status code to answer with (`None`: nothing to say — the
-    /// connection just ends).
-    pub fn status(&self) -> Option<u16> {
+    /// The status code to answer with.
+    pub fn status(&self) -> u16 {
         match self {
-            RequestError::Closed | RequestError::Io(_) => None,
-            RequestError::Malformed(_) => Some(400),
-            RequestError::HeadTooLarge => Some(431),
-            RequestError::BodyTooLarge => Some(413),
-            RequestError::LengthRequired => Some(411),
-            RequestError::UnsupportedTransferEncoding => Some(501),
+            RequestError::Malformed(_) => 400,
+            RequestError::HeadTooLarge => 431,
+            RequestError::BodyTooLarge => 413,
+            RequestError::LengthRequired => 411,
+            RequestError::UnsupportedTransferEncoding => 501,
         }
     }
 
     /// Human-readable detail for the error body.
     pub fn detail(&self) -> String {
         match self {
-            RequestError::Closed => "connection closed".into(),
-            RequestError::Io(e) => format!("transport error: {e}"),
             RequestError::Malformed(what) => format!("malformed request: {what}"),
             RequestError::HeadTooLarge => {
                 format!("request head exceeds {MAX_HEAD_BYTES} bytes")
@@ -105,37 +99,65 @@ impl RequestError {
     }
 }
 
-/// Reads one CRLF-terminated line, charging its size against `budget`.
-fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<String, RequestError> {
-    let mut raw = Vec::new();
-    // Cap the read itself: `take` stops a single endless unterminated
-    // line from blowing past the head budget before the check below.
-    // UFCS pins `Self = &mut R` so the reader is borrowed, not moved.
-    let n = Read::take(&mut *r, *budget as u64 + 2)
-        .read_until(b'\n', &mut raw)
-        .map_err(RequestError::Io)?;
-    if n == 0 {
-        return Err(RequestError::Closed);
+/// Index just past the head-terminating blank line, if the buffer holds
+/// a complete request head. Lines end at `\n` with an optional `\r`
+/// before it.
+fn head_end(buf: &[u8]) -> Option<usize> {
+    let mut i = 0;
+    while i < buf.len() {
+        let j = i + buf[i..].iter().position(|&b| b == b'\n')?;
+        let line = &buf[i..j];
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        if line.is_empty() {
+            return Some(j + 1);
+        }
+        i = j + 1;
     }
-    if !raw.ends_with(b"\n") {
-        return Err(if n > *budget {
-            RequestError::HeadTooLarge
-        } else {
-            RequestError::Malformed("unterminated line")
-        });
-    }
-    raw.pop();
-    if raw.ends_with(b"\r") {
-        raw.pop();
-    }
-    *budget = budget.saturating_sub(n);
-    String::from_utf8(raw).map_err(|_| RequestError::Malformed("non-UTF-8 request head"))
+    None
 }
 
-/// Reads and validates one request from the stream.
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
+/// Splits the next line off a complete head, charging its length
+/// (terminator included) against `budget`. A line may take what is left
+/// of the budget plus two bytes for its `\r\n`.
+fn next_line<'a>(head: &mut &'a [u8], budget: &mut usize) -> Result<&'a str, RequestError> {
+    let n = head
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(head.len(), |i| i + 1);
+    if n > *budget + 2 {
+        return Err(RequestError::HeadTooLarge);
+    }
+    let (line, rest) = head.split_at(n);
+    *head = rest;
+    *budget = budget.saturating_sub(n);
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    std::str::from_utf8(line).map_err(|_| RequestError::Malformed("non-UTF-8 request head"))
+}
+
+/// Incremental parse for the nonblocking connection plane: attempts to
+/// parse one complete request from the front of `buf`.
+///
+/// * `Ok(Some((req, consumed)))` — a full request was parsed from
+///   `buf[..consumed]`; the caller drains those bytes and calls again,
+///   which is what makes HTTP/1.1 pipelining work (every complete
+///   request already in the buffer is parsed, not one per read),
+/// * `Ok(None)` — the buffer holds only a prefix (head unterminated, or
+///   a declared body still arriving); read more and retry,
+/// * `Err(_)` — the prefix can never become a valid request; answer
+///   with [`RequestError::status`], and the connection is done.
+pub fn parse_buffered(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestError> {
+    let Some(end) = head_end(buf) else {
+        // `>=`: a head that has already filled the whole budget without
+        // terminating can never become valid by growing further.
+        if buf.len() >= MAX_HEAD_BYTES {
+            return Err(RequestError::HeadTooLarge);
+        }
+        return Ok(None);
+    };
+    let mut head = &buf[..end];
     let mut budget = MAX_HEAD_BYTES;
-    let request_line = read_line(r, &mut budget)?;
+    let request_line = next_line(&mut head, &mut budget)?;
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -158,14 +180,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
 
     let mut headers = Vec::new();
     loop {
-        let line = match read_line(r, &mut budget) {
-            Ok(l) => l,
-            // EOF mid-head is malformed, not a clean close.
-            Err(RequestError::Closed) => {
-                return Err(RequestError::Malformed("connection closed mid-request"))
-            }
-            Err(e) => return Err(e),
-        };
+        let line = next_line(&mut head, &mut budget)?;
         if line.is_empty() {
             break;
         }
@@ -212,69 +227,18 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
     if content_length > MAX_BODY_BYTES {
         return Err(RequestError::BodyTooLarge);
     }
-    if content_length > 0 {
-        let mut body = vec![0u8; content_length];
-        r.read_exact(&mut body).map_err(RequestError::Io)?;
-        req.body = body;
-    }
-    Ok(req)
-}
-
-/// Index just past the head-terminating blank line, if the buffer holds
-/// a complete request head. Lines end at `\n` with an optional `\r`
-/// before it — the same framing [`read_line`] accepts.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < buf.len() {
-        let j = i + buf[i..].iter().position(|&b| b == b'\n')?;
-        let line = &buf[i..j];
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if line.is_empty() {
-            return Some(j + 1);
-        }
-        i = j + 1;
-    }
-    None
-}
-
-/// Incremental parse for the nonblocking connection plane: attempts to
-/// parse one complete request from the front of `buf`.
-///
-/// * `Ok(Some((req, consumed)))` — a full request was parsed from
-///   `buf[..consumed]`; the caller drains those bytes and calls again,
-///   which is what makes HTTP/1.1 pipelining work (every complete
-///   request already in the buffer is parsed, not one per read),
-/// * `Ok(None)` — the buffer holds only a prefix (head unterminated, or
-///   a declared body still arriving); read more and retry,
-/// * `Err(_)` — the prefix can never become a valid request; same
-///   status mapping as [`read_request`], and the connection is done.
-///
-/// Validation is byte-for-byte [`read_request`] — this wrapper only
-/// adds the completeness check a non-blocking reader needs.
-pub fn parse_buffered(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestError> {
-    if head_end(buf).is_none() {
-        // `>=`: a head that has already filled the whole budget without
-        // terminating can never become valid by growing further.
-        if buf.len() >= MAX_HEAD_BYTES {
-            return Err(RequestError::HeadTooLarge);
-        }
-        return Ok(None);
-    }
-    let mut slice = buf;
-    match read_request(&mut slice) {
-        Ok(req) => Ok(Some((req, buf.len() - slice.len()))),
-        // The head is complete, so EOF can only mean the declared body
-        // has not fully arrived yet (the length cap was already
-        // enforced before any body byte was read).
-        Err(RequestError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
-        Err(e) => Err(e),
-    }
+    let consumed = end + content_length;
+    let Some(body) = buf.get(end..consumed) else {
+        return Ok(None); // the declared body has not fully arrived yet
+    };
+    req.body = body.to_vec();
+    Ok(Some((req, consumed)))
 }
 
 /// One response, framed with `Content-Length` (never chunked).
 #[derive(Debug)]
 pub struct Response {
-    /// Status code (see [`reason`] for the phrase).
+    /// Status code.
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
@@ -313,7 +277,7 @@ impl Response {
 }
 
 /// The reason phrase for the status codes this server emits.
-pub fn reason(status: u16) -> &'static str {
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -352,10 +316,14 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses a buffer that holds exactly one complete request.
     fn parse(raw: &str) -> Result<Request, RequestError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        parse_buffered(raw.as_bytes()).map(|parsed| {
+            let (req, consumed) = parsed.expect("a complete request");
+            assert_eq!(consumed, raw.len(), "{raw:?} is one request");
+            req
+        })
     }
 
     #[test]
@@ -383,7 +351,7 @@ mod tests {
     fn rejects_gibberish_with_400() {
         for raw in ["NOT A REQUEST\r\n\r\n", "GET\r\n\r\n", "GET / HTTP/2\r\n\r\n"] {
             let err = parse(raw).unwrap_err();
-            assert_eq!(err.status(), Some(400), "{raw:?} -> {err:?}");
+            assert_eq!(err.status(), 400, "{raw:?} -> {err:?}");
         }
     }
 
@@ -396,7 +364,7 @@ mod tests {
             "POST /route HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
         ] {
             let err = parse(raw).unwrap_err();
-            assert_eq!(err.status(), Some(400), "{raw:?} -> {err:?}");
+            assert_eq!(err.status(), 400, "{raw:?} -> {err:?}");
         }
     }
 
@@ -404,27 +372,47 @@ mod tests {
     fn post_without_length_is_411_and_chunked_is_501() {
         assert_eq!(
             parse("POST /route HTTP/1.1\r\n\r\n").unwrap_err().status(),
-            Some(411)
+            411
         );
         assert_eq!(
             parse("POST /route HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
                 .unwrap_err()
                 .status(),
-            Some(501)
+            501
         );
     }
 
     #[test]
     fn oversized_declarations_are_bounded() {
         let huge_body = format!("POST /route HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 30);
-        assert_eq!(parse(&huge_body).unwrap_err().status(), Some(413));
+        assert_eq!(parse(&huge_body).unwrap_err().status(), 413);
         let huge_head = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
-        assert_eq!(parse(&huge_head).unwrap_err().status(), Some(431));
+        assert_eq!(parse(&huge_head).unwrap_err().status(), 431);
     }
 
     #[test]
-    fn clean_eof_is_closed_not_malformed() {
-        assert!(matches!(parse("").unwrap_err(), RequestError::Closed));
+    fn head_size_boundary() {
+        // A complete head of `total` bytes: request line, one padded
+        // header, blank line.
+        const FRAME: &str = "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n";
+        let head = |total: usize| {
+            format!(
+                "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "a".repeat(total - FRAME.len())
+            )
+        };
+        // Each line may use the remaining budget plus its two-byte
+        // terminator, so a three-line head fits up to MAX_HEAD_BYTES + 4.
+        for total in [
+            MAX_HEAD_BYTES - 2,
+            MAX_HEAD_BYTES,
+            MAX_HEAD_BYTES + 2,
+            MAX_HEAD_BYTES + 4,
+        ] {
+            let req = parse(&head(total)).unwrap_or_else(|e| panic!("{total}: {e:?}"));
+            assert_eq!(req.header("x-pad").map(str::len), Some(total - FRAME.len()));
+        }
+        assert_eq!(parse(&head(MAX_HEAD_BYTES + 5)).unwrap_err().status(), 431);
     }
 
     #[test]
@@ -452,21 +440,11 @@ mod tests {
         assert_eq!(second.path, "/healthz");
         assert_eq!(rest, piped.len() - consumed);
 
-        // Same validation as the blocking reader.
-        assert_eq!(
-            parse_buffered(b"NOT A REQUEST\r\n\r\n").unwrap_err().status(),
-            Some(400)
-        );
-        assert_eq!(
-            parse_buffered(b"POST /route HTTP/1.1\r\n\r\n")
-                .unwrap_err()
-                .status(),
-            Some(411)
-        );
         // An unterminated head that already filled the budget can never
-        // become valid.
+        // become valid; one byte short of it may still terminate.
         let endless = vec![b'a'; MAX_HEAD_BYTES];
-        assert_eq!(parse_buffered(&endless).unwrap_err().status(), Some(431));
+        assert_eq!(parse_buffered(&endless).unwrap_err().status(), 431);
+        assert!(parse_buffered(&endless[1..]).unwrap().is_none());
     }
 
     #[test]

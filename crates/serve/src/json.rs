@@ -518,7 +518,7 @@ pub fn route_result_to_json(r: &RouteResult) -> String {
 }
 
 /// The machine-readable tag for each [`EngineError`] variant.
-pub fn engine_error_kind(e: &EngineError) -> &'static str {
+fn engine_error_kind(e: &EngineError) -> &'static str {
     match e {
         EngineError::InvalidBudget { .. } => "invalid_budget",
         EngineError::NodeOutOfRange { .. } => "node_out_of_range",

@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batched;
-pub mod client;
 pub mod dispatch;
 pub mod handlers;
 pub mod http;

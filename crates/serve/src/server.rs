@@ -189,11 +189,6 @@ impl Server {
         &self.engine
     }
 
-    /// Requests currently waiting for the batcher.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// Graceful drain: stop admitting, answer and flush every admitted
     /// request, join both threads. Idempotent via `Drop` (dropping an
     /// un-shut-down server performs the same drain, minus the report).

@@ -1,32 +1,19 @@
 //! A deliberately tiny blocking HTTP/1.1 client — just enough to drive
-//! the server from the socket-level integration tests (keep-alive,
+//! the server from the socket-level integration suite (keep-alive,
 //! connect-per-request and pipelined) without pulling in a dependency.
-//!
-//! `#[doc(hidden)]`: this is test scaffolding that happens to live in
-//! the library so every integration test shares one implementation; it
-//! is not part of the serving API.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// A parsed response: status code, headers (lower-cased names), body.
+/// A parsed response: status code and body.
 #[derive(Debug)]
 pub struct ClientResponse {
     pub status: u16,
-    pub headers: Vec<(String, String)>,
     pub body: Vec<u8>,
 }
 
 impl ClientResponse {
-    /// First value of header `name` (lower-case).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// The body as UTF-8 text.
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
@@ -125,7 +112,7 @@ impl Client {
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, format!("bad status line: {line:?}"))
             })?;
-        let mut headers = Vec::new();
+        let mut len = 0;
         loop {
             let mut hline = String::new();
             if self.reader.read_line(&mut hline)? == 0 {
@@ -139,21 +126,14 @@ impl Client {
                 break;
             }
             if let Some((n, v)) = trimmed.split_once(':') {
-                headers.push((n.trim().to_ascii_lowercase(), v.trim().to_owned()));
+                if n.trim().eq_ignore_ascii_case("content-length") {
+                    len = v.trim().parse::<usize>().unwrap_or(0);
+                }
             }
         }
-        let len = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-            .unwrap_or(0);
         let mut body = vec![0u8; len];
         self.reader.read_exact(&mut body)?;
-        Ok(ClientResponse {
-            status,
-            headers,
-            body,
-        })
+        Ok(ClientResponse { status, body })
     }
 }
 

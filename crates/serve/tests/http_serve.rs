@@ -38,11 +38,13 @@
 //!   and a parked connection is closed once
 //!   [`ServerConfig::idle_timeout`] elapses.
 
+mod client;
+
+use client::{request_once, Client};
 use srt_core::model::training::{train_hybrid, TrainingConfig};
 use srt_core::routing::{EngineBuilder, Query, RoutingEngine};
 use srt_core::{CombinePolicy, HybridCost, HybridModel};
 use srt_ml::forest::ForestConfig;
-use srt_serve::client::{request_once, Client};
 use srt_serve::json::{self, Json};
 use srt_serve::{Server, ServerConfig};
 use srt_synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};

@@ -79,7 +79,7 @@ impl CongestionConfig {
 }
 
 /// Standard-normal draw via Box–Muller (rand 0.8 ships no normal sampler).
-pub fn randn<R: Rng>(rng: &mut R) -> f64 {
+fn randn<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -123,7 +123,7 @@ impl CongestionModel {
     }
 
     /// Travel time of edge `e` at latent congestion `z`.
-    pub fn edge_time(&self, g: &RoadGraph, e: EdgeId, z: f64) -> f64 {
+    fn edge_time(&self, g: &RoadGraph, e: EdgeId, z: f64) -> f64 {
         let attrs = g.attrs(e);
         let cat = attrs.category.as_index();
         attrs.freeflow_time_s()
@@ -141,18 +141,6 @@ impl CongestionModel {
             * (self.cfg.sigma_by_category[cat].powi(2) / 2.0).exp()
     }
 
-    /// Minimal plausible travel time of edge `e` (z at -3 sigma), used by
-    /// the optimistic-bound pruning. Always <= any simulated time drawn
-    /// within ±3σ; simulation clamps z accordingly.
-    pub fn min_edge_time(&self, g: &RoadGraph, e: EdgeId) -> f64 {
-        self.edge_time(g, e, -3.0)
-    }
-
-    /// Maximal plausible travel time (z at +3σ, plus the queue delay).
-    pub fn max_edge_time(&self, g: &RoadGraph, e: EdgeId) -> f64 {
-        self.edge_time(g, e, 3.0) + 2.0 * self.cfg.queue_delay_s
-    }
-
     /// Queueing delay imposed on the edge *leaving* a dependent junction,
     /// given the prevailing congestion `z` and the turn angle in degrees.
     fn queue_delay(&self, z: f64, turn_deg: f64) -> f64 {
@@ -161,8 +149,8 @@ impl CongestionModel {
     }
 
     /// Simulates one traversal of `edges` (a connected path), returning the
-    /// per-edge travel times. `z` values are clamped to ±3σ so the
-    /// optimistic bound of [`CongestionModel::min_edge_time`] always holds.
+    /// per-edge travel times. `z` values are clamped to ±3σ, so no time
+    /// falls below the edge's time at `z = -3`.
     pub fn simulate_path<R: Rng>(&self, g: &RoadGraph, edges: &[EdgeId], rng: &mut R) -> Vec<f64> {
         let mut times = Vec::with_capacity(edges.len());
         let mut z = randn(rng).clamp(-3.0, 3.0);
@@ -188,26 +176,6 @@ impl CongestionModel {
             times.push(t);
         }
         times
-    }
-
-    /// Samples `n` independent traversals of a two-edge path, returning
-    /// `(t1, t2)` pairs. This is the Monte-Carlo oracle behind the ground
-    /// truth for edge pairs.
-    pub fn sample_pair<R: Rng>(
-        &self,
-        g: &RoadGraph,
-        e1: EdgeId,
-        e2: EdgeId,
-        n: usize,
-        rng: &mut R,
-    ) -> Vec<(f64, f64)> {
-        let edges = [e1, e2];
-        (0..n)
-            .map(|_| {
-                let t = self.simulate_path(g, &edges, rng);
-                (t[0], t[1])
-            })
-            .collect()
     }
 }
 
@@ -245,12 +213,12 @@ mod tests {
     fn min_time_bounds_simulation() {
         let (g, m) = world();
         let mut rng = StdRng::seed_from_u64(1);
-        // One-edge paths never get queue delays, so min_edge_time bounds them.
+        // One-edge paths never get queue delays, so the ±3σ times bound them.
         for e in g.edge_ids().take(20) {
             for _ in 0..50 {
                 let t = m.simulate_path(&g, &[e], &mut rng)[0];
-                assert!(t >= m.min_edge_time(&g, e) - 1e-9);
-                assert!(t <= m.max_edge_time(&g, e) + 1e-9);
+                assert!(t >= m.edge_time(&g, e, -3.0) - 1e-9);
+                assert!(t <= m.edge_time(&g, e, 3.0) + 2.0 * m.cfg.queue_delay_s + 1e-9);
             }
         }
     }
@@ -307,12 +275,20 @@ mod tests {
             cov / (v1 * v2).sqrt()
         };
 
+        let mut traverse_pairs = |e1, e2| -> Vec<(f64, f64)> {
+            (0..4000)
+                .map(|_| {
+                    let t = m.simulate_path(&g, &[e1, e2], &mut rng);
+                    (t[0], t[1])
+                })
+                .collect()
+        };
         let (d1, d2) = dep_pair.expect("a dependent junction exists");
-        let dep_corr = corr(&m.sample_pair(&g, d1, d2, 4000, &mut rng));
+        let dep_corr = corr(&traverse_pairs(d1, d2));
         assert!(dep_corr > 0.4, "dependent correlation {dep_corr}");
 
         let (i1, i2) = indep_pair.expect("an independent junction exists");
-        let ind_corr = corr(&m.sample_pair(&g, i1, i2, 4000, &mut rng));
+        let ind_corr = corr(&traverse_pairs(i1, i2));
         assert!(ind_corr.abs() < 0.15, "independent correlation {ind_corr}");
     }
 
@@ -354,7 +330,7 @@ mod tests {
         let e = EdgeId(0);
         let spread = |cfg: CongestionConfig| {
             let m = CongestionModel::new(&g, cfg);
-            m.max_edge_time(&g, e) / m.min_edge_time(&g, e)
+            (m.edge_time(&g, e, 3.0) + 2.0 * m.cfg.queue_delay_s) / m.edge_time(&g, e, -3.0)
         };
         assert!(spread(heavy) > 1.5 * spread(base));
     }

@@ -90,7 +90,7 @@ fn sample_edge_in_context<R: Rng>(
 
 /// Samples one mid-trip traversal of the pair `e1 -> e2`, returning
 /// `(t1, t2)`; `e1` is entered from a random in-edge when one exists.
-pub fn sample_pair_in_context<R: Rng>(
+fn sample_pair_in_context<R: Rng>(
     g: &RoadGraph,
     model: &CongestionModel,
     e1: EdgeId,

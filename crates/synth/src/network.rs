@@ -309,7 +309,7 @@ fn generate_hub_and_spoke(
 
 /// Rebuilds `g` restricted to its largest strongly connected component,
 /// remapping node ids densely.
-pub fn restrict_to_largest_scc(g: &RoadGraph) -> RoadGraph {
+fn restrict_to_largest_scc(g: &RoadGraph) -> RoadGraph {
     let keep = largest_scc(g);
     let mut remap = vec![u32::MAX; g.num_nodes()];
     let mut b = GraphBuilder::with_capacity(keep.len(), g.num_edges());

@@ -32,7 +32,7 @@ impl DistanceCategory {
     ];
 
     /// Route-length bounds in metres `[lo, hi)`.
-    pub fn range_m(self) -> (f64, f64) {
+    fn range_m(self) -> (f64, f64) {
         match self {
             DistanceCategory::ZeroToOne => (0.0, 1_000.0),
             DistanceCategory::OneToFive => (1_000.0, 5_000.0),
@@ -47,16 +47,6 @@ impl DistanceCategory {
             DistanceCategory::OneToFive => "[1, 5)",
             DistanceCategory::FiveToTen => "[5, 10)",
         }
-    }
-
-    /// The category containing a route length, if any.
-    pub fn of_length_m(len: f64) -> Option<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|c| {
-                let (lo, hi) = c.range_m();
-                len >= lo && len < hi
-            })
     }
 }
 
@@ -166,10 +156,14 @@ mod tests {
 
     #[test]
     fn category_ranges_partition_ten_km() {
-        assert_eq!(DistanceCategory::of_length_m(500.0), Some(DistanceCategory::ZeroToOne));
-        assert_eq!(DistanceCategory::of_length_m(1_000.0), Some(DistanceCategory::OneToFive));
-        assert_eq!(DistanceCategory::of_length_m(7_500.0), Some(DistanceCategory::FiveToTen));
-        assert_eq!(DistanceCategory::of_length_m(12_000.0), None);
+        // Contiguous half-open bands from 0 to 10 km, in order.
+        let ranges = DistanceCategory::ALL.map(DistanceCategory::range_m);
+        assert_eq!(ranges[0].0, 0.0);
+        for w in ranges.windows(2) {
+            assert_eq!(w[0].1, w[1].0);
+        }
+        assert_eq!(ranges[2].1, 10_000.0);
+        assert_eq!(DistanceCategory::OneToFive.range_m(), (1_000.0, 5_000.0));
         assert_eq!(DistanceCategory::OneToFive.label(), "[1, 5)");
     }
 

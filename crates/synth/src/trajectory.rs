@@ -52,88 +52,38 @@ pub struct Trajectory {
     pub times: Vec<f64>,
 }
 
-impl Trajectory {
-    /// Total trip duration in seconds.
-    pub fn total_time(&self) -> f64 {
-        self.times.iter().sum()
-    }
-}
-
-/// Aggregated per-edge and per-edge-pair observations.
+/// How often each consecutive edge pair was observed.
 #[derive(Clone, Debug, Default)]
 pub struct ObservationStore {
-    edge_samples: Vec<Vec<f64>>,
-    pair_samples: HashMap<(EdgeId, EdgeId), Vec<(f64, f64)>>,
+    pair_counts: HashMap<(EdgeId, EdgeId), usize>,
     num_trajectories: usize,
 }
 
 impl ObservationStore {
-    /// An empty store sized for `num_edges` edges.
-    pub fn new(num_edges: usize) -> Self {
-        ObservationStore {
-            edge_samples: vec![Vec::new(); num_edges],
-            pair_samples: HashMap::new(),
-            num_trajectories: 0,
-        }
-    }
-
-    /// Records every edge and consecutive-pair observation of `traj`.
-    pub fn record(&mut self, traj: &Trajectory) {
+    /// Counts every consecutive-pair observation of `traj`.
+    fn record(&mut self, traj: &Trajectory) {
         self.num_trajectories += 1;
-        for (i, (&e, &t)) in traj.edges.iter().zip(&traj.times).enumerate() {
-            self.edge_samples[e.index()].push(t);
-            if i > 0 {
-                let prev = traj.edges[i - 1];
-                self.pair_samples
-                    .entry((prev, e))
-                    .or_default()
-                    .push((traj.times[i - 1], t));
-            }
+        for w in traj.edges.windows(2) {
+            *self.pair_counts.entry((w[0], w[1])).or_default() += 1;
         }
-    }
-
-    /// All recorded travel times of edge `e`.
-    pub fn edge_samples(&self, e: EdgeId) -> &[f64] {
-        &self.edge_samples[e.index()]
-    }
-
-    /// `(t1, t2)` observations of the consecutive pair `e1 -> e2`.
-    pub fn pair_samples(&self, e1: EdgeId, e2: EdgeId) -> &[(f64, f64)] {
-        self.pair_samples
-            .get(&(e1, e2))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Pairs with at least `min_obs` observations ("edge pairs with
     /// sufficient data"), in deterministic order.
     pub fn pairs_with_at_least(&self, min_obs: usize) -> Vec<(EdgeId, EdgeId)> {
         let mut pairs: Vec<(EdgeId, EdgeId)> = self
-            .pair_samples
+            .pair_counts
             .iter()
-            .filter(|(_, v)| v.len() >= min_obs)
+            .filter(|&(_, &n)| n >= min_obs)
             .map(|(&k, _)| k)
             .collect();
         pairs.sort_unstable();
         pairs
     }
 
-    /// Number of edges with at least `min_obs` observations.
-    pub fn edges_with_at_least(&self, min_obs: usize) -> usize {
-        self.edge_samples
-            .iter()
-            .filter(|v| v.len() >= min_obs)
-            .count()
-    }
-
     /// Number of recorded trajectories.
     pub fn num_trajectories(&self) -> usize {
         self.num_trajectories
-    }
-
-    /// Total number of per-edge observations.
-    pub fn num_observations(&self) -> usize {
-        self.edge_samples.iter().map(Vec::len).sum()
     }
 }
 
@@ -147,7 +97,7 @@ pub fn simulate_trajectories(
     cfg: &TrajectoryConfig,
 ) -> (Vec<Trajectory>, ObservationStore) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ObservationStore::new(g.num_edges());
+    let mut store = ObservationStore::default();
     let mut out = Vec::with_capacity(cfg.num_trips);
     if g.num_nodes() == 0 {
         return (out, store);
@@ -215,7 +165,7 @@ mod tests {
         for t in &trips {
             assert_eq!(t.edges.len(), t.times.len());
             assert!(t.edges.len() >= 3);
-            assert!(t.total_time() > 0.0);
+            assert!(t.times.iter().sum::<f64>() > 0.0);
             // Consecutive edges connect.
             for w in t.edges.windows(2) {
                 assert_eq!(g.edge_target(w[0]), g.edge_source(w[1]));
@@ -228,8 +178,21 @@ mod tests {
         let (g, m) = world();
         let (trips, store) = simulate_trajectories(&g, &m, &small_cfg());
         assert_eq!(store.num_trajectories(), trips.len());
-        let expected_obs: usize = trips.iter().map(|t| t.edges.len()).sum();
-        assert_eq!(store.num_observations(), expected_obs);
+        let mut counts: HashMap<(EdgeId, EdgeId), usize> = HashMap::new();
+        for t in &trips {
+            for w in t.edges.windows(2) {
+                *counts.entry((w[0], w[1])).or_default() += 1;
+            }
+        }
+        for min_obs in [1, 5, 20] {
+            let mut expected: Vec<_> = counts
+                .iter()
+                .filter(|&(_, &n)| n >= min_obs)
+                .map(|(&k, _)| k)
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(store.pairs_with_at_least(min_obs), expected);
+        }
     }
 
     #[test]
@@ -238,9 +201,10 @@ mod tests {
         let (trips, store) = simulate_trajectories(&g, &m, &small_cfg());
         let t = &trips[0];
         let (e1, e2) = (t.edges[0], t.edges[1]);
-        assert!(!store.pair_samples(e1, e2).is_empty());
-        // Unseen pair yields the empty slice, not a panic.
-        assert!(store.pair_samples(EdgeId(0), EdgeId(0)).is_empty());
+        let seen = store.pairs_with_at_least(1);
+        assert!(seen.contains(&(e1, e2)));
+        // A shortest path never travels one edge twice in a row.
+        assert!(!seen.contains(&(EdgeId(0), EdgeId(0))));
     }
 
     #[test]
@@ -280,6 +244,7 @@ mod tests {
     fn well_observed_edges_accumulate_many_samples() {
         let (g, m) = world();
         let (_, store) = simulate_trajectories(&g, &m, &small_cfg());
-        assert!(store.edges_with_at_least(10) > 0);
+        // A pair seen ten times means both of its edges were.
+        assert!(!store.pairs_with_at_least(10).is_empty());
     }
 }

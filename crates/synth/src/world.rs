@@ -89,7 +89,7 @@ pub struct SyntheticWorld {
     pub model: CongestionModel,
     /// Simulated trips.
     pub trajectories: Vec<Trajectory>,
-    /// Aggregated observations (per edge / per pair).
+    /// Per-pair observation counts of the simulated trips.
     pub observations: ObservationStore,
     /// Monte-Carlo ground-truth oracle.
     pub ground_truth: GroundTruth,

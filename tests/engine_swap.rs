@@ -161,47 +161,41 @@ fn swap_from_snapshot_bytes_matches_swap_from_memory() {
 
 #[test]
 fn swap_across_snapshot_versions_degrades_and_recovers() {
-    use bytes::BufMut;
-
-    // An engine built from a full v3 model hot-swaps onto a v1
-    // snapshot (no calibration, no envelope — margin dominance and the
-    // certified-envelope bound degrade to their conservative forms)
-    // and back, with each epoch bitwise-matching a fresh engine built
-    // from the same decoded model.
+    // An engine built from a full model hot-swaps onto a snapshot whose
+    // calibration and envelope flags are 0 (margin dominance and the
+    // certified-envelope bound degrade to their conservative forms) and
+    // back, with each epoch bitwise-matching a fresh engine built from
+    // the same decoded model.
     let (_, model_a, model_b) = fixture();
     let queries = workload(6);
     let engine = engine_over(model_a);
 
-    // Hand-assemble the v1 layout for model B, exactly like the io
-    // round-trip suite does: header + estimator + classifier only.
-    let mut v1 = bytes::BytesMut::new();
-    v1.put_u32_le(0x5352_4D4F);
-    v1.put_u32_le(1);
-    v1.put_u32_le(model_b.bins as u32);
-    model_b.estimator.write_bytes(&mut v1);
-    model_b.classifier.write_bytes(&mut v1);
+    let mut bare = model_b.clone();
+    bare.calibration = None;
+    bare.envelope = None;
+    let bare_bytes = model_io::to_bytes(&bare);
 
-    assert_eq!(engine.swap_model_bytes(&v1), Ok(1));
-    let decoded_v1 = model_io::from_bytes(&v1).unwrap();
-    assert!(decoded_v1.calibration.is_none() && decoded_v1.envelope.is_none());
-    let fresh_v1 = engine_over(&decoded_v1);
+    assert_eq!(engine.swap_model_bytes(&bare_bytes), Ok(1));
+    let decoded_bare = model_io::from_bytes(&bare_bytes).unwrap();
+    assert!(decoded_bare.calibration.is_none() && decoded_bare.envelope.is_none());
+    let fresh_bare = engine_over(&decoded_bare);
     for (i, q) in queries.iter().enumerate() {
         assert_identical(
             &engine.route(q).unwrap(),
-            &fresh_v1.route(q).unwrap(),
-            &format!("v1-epoch {i}"),
+            &fresh_bare.route(q).unwrap(),
+            &format!("bare-epoch {i}"),
         );
     }
 
-    // Swapping forward onto the full v3 form restores every pruning
+    // Swapping forward onto the full model restores every pruning
     // mechanism in one publish.
     assert_eq!(engine.swap_model_bytes(&model_io::to_bytes(model_b)), Ok(2));
-    let fresh_v3 = engine_over(model_b);
+    let fresh_full = engine_over(model_b);
     for (i, q) in queries.iter().enumerate() {
         assert_identical(
             &engine.route(q).unwrap(),
-            &fresh_v3.route(q).unwrap(),
-            &format!("v3-epoch {i}"),
+            &fresh_full.route(q).unwrap(),
+            &format!("full-epoch {i}"),
         );
     }
 }
