@@ -10,7 +10,7 @@
 //!   multi-output regressor is the paper's *distribution estimation model*
 //!   backend and the classifier its *convolution-vs-estimation* gate,
 //! * [`split`] — train/test splitting and k-fold cross-validation,
-//! * [`metrics`] — accuracy/precision/recall/F1/log-loss, MSE/MAE/R².
+//! * [`metrics`] — a binary confusion matrix and its F1 and accuracy.
 //!
 //! All estimators are deterministic given a seed.
 //!

@@ -1,30 +1,4 @@
-//! Evaluation metrics for regression and binary classification.
-
-/// Coefficient of determination R² (1 is perfect, 0 matches the mean
-/// predictor, negative is worse than the mean predictor).
-pub fn r2(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "r2 length mismatch");
-    assert!(!truth.is_empty(), "r2 on empty slices");
-    let mean = truth.iter().sum::<f64>() / truth.len() as f64;
-    let ss_tot: f64 = truth.iter().map(|t| (t - mean) * (t - mean)).sum();
-    let ss_res: f64 = truth.iter().zip(pred).map(|(t, p)| (t - p) * (t - p)).sum();
-    if ss_tot <= 1e-12 {
-        if ss_res <= 1e-12 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
-/// Fraction of exact label matches.
-pub fn accuracy(truth: &[usize], pred: &[usize]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "accuracy length mismatch");
-    assert!(!truth.is_empty(), "accuracy on empty slices");
-    truth.iter().zip(pred).filter(|(t, p)| t == p).count() as f64 / truth.len() as f64
-}
+//! Evaluation metrics for binary classification.
 
 /// 2x2 confusion counts for binary labels.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -101,24 +75,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn regression_metrics_on_perfect_predictions() {
-        let t = [1.0, 2.0, 3.0];
-        assert_eq!(r2(&t, &t), 1.0);
-    }
-
-    #[test]
-    fn r2_of_mean_predictor_is_zero() {
-        let t = [1.0, 2.0, 3.0];
-        let p = [2.0, 2.0, 2.0];
-        assert!(r2(&t, &p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        assert_eq!(accuracy(&[0, 1, 1, 0], &[0, 1, 0, 0]), 0.75);
-    }
-
-    #[test]
     fn confusion_and_derived_scores() {
         let truth = [1, 1, 1, 0, 0, 0, 1, 0];
         let pred = [1, 1, 0, 0, 0, 1, 1, 0];
@@ -145,6 +101,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = r2(&[1.0], &[1.0, 2.0]);
+        let _ = Confusion::from_labels(&[1], &[1, 0]);
     }
 }

@@ -116,20 +116,14 @@ fn head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Splits the next line off a complete head, charging its length
-/// (terminator included) against `budget`. A line may take what is left
-/// of the budget plus two bytes for its `\r\n`.
-fn next_line<'a>(head: &mut &'a [u8], budget: &mut usize) -> Result<&'a str, RequestError> {
+/// Splits the next line off a complete head.
+fn next_line<'a>(head: &mut &'a [u8]) -> Result<&'a str, RequestError> {
     let n = head
         .iter()
         .position(|&b| b == b'\n')
         .map_or(head.len(), |i| i + 1);
-    if n > *budget + 2 {
-        return Err(RequestError::HeadTooLarge);
-    }
     let (line, rest) = head.split_at(n);
     *head = rest;
-    *budget = budget.saturating_sub(n);
     let line = line.strip_suffix(b"\n").unwrap_or(line);
     let line = line.strip_suffix(b"\r").unwrap_or(line);
     std::str::from_utf8(line).map_err(|_| RequestError::Malformed("non-UTF-8 request head"))
@@ -155,9 +149,12 @@ pub fn parse_buffered(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestErr
         }
         return Ok(None);
     };
+    // The one size check on a complete head, terminators included.
+    if end > MAX_HEAD_BYTES {
+        return Err(RequestError::HeadTooLarge);
+    }
     let mut head = &buf[..end];
-    let mut budget = MAX_HEAD_BYTES;
-    let request_line = next_line(&mut head, &mut budget)?;
+    let request_line = next_line(&mut head)?;
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -180,7 +177,7 @@ pub fn parse_buffered(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestErr
 
     let mut headers = Vec::new();
     loop {
-        let line = next_line(&mut head, &mut budget)?;
+        let line = next_line(&mut head)?;
         if line.is_empty() {
             break;
         }
@@ -401,18 +398,12 @@ mod tests {
                 "a".repeat(total - FRAME.len())
             )
         };
-        // Each line may use the remaining budget plus its two-byte
-        // terminator, so a three-line head fits up to MAX_HEAD_BYTES + 4.
-        for total in [
-            MAX_HEAD_BYTES - 2,
-            MAX_HEAD_BYTES,
-            MAX_HEAD_BYTES + 2,
-            MAX_HEAD_BYTES + 4,
-        ] {
+        // The cap counts every byte of the head, terminators included.
+        for total in [MAX_HEAD_BYTES - 1, MAX_HEAD_BYTES] {
             let req = parse(&head(total)).unwrap_or_else(|e| panic!("{total}: {e:?}"));
             assert_eq!(req.header("x-pad").map(str::len), Some(total - FRAME.len()));
         }
-        assert_eq!(parse(&head(MAX_HEAD_BYTES + 5)).unwrap_err().status(), 431);
+        assert_eq!(parse(&head(MAX_HEAD_BYTES + 1)).unwrap_err().status(), 431);
     }
 
     #[test]
