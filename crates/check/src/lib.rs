@@ -81,7 +81,9 @@ pub use sched::{check, explore, replay, CheckFailure, CheckOptions, ExploreRepor
 ///   pass through to `std` outside a live exploration.
 pub mod sync {
     #[cfg(not(srt_check))]
-    pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+    pub use std::sync::{
+        Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    };
 
     #[cfg(not(srt_check))]
     pub mod atomic {

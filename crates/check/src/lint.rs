@@ -282,13 +282,7 @@ fn is_dep_section(header: &str) -> bool {
     header.contains("dependencies")
 }
 
-fn lint_manifest(
-    root: &Path,
-    manifest: &Path,
-    rel: &str,
-    content: &str,
-    out: &mut Vec<Violation>,
-) {
+fn lint_manifest(root: &Path, manifest: &Path, rel: &str, content: &str, out: &mut Vec<Violation>) {
     let manifest_dir = manifest.parent().unwrap_or(root);
     let mut in_deps = false;
     for (i, raw) in content.lines().enumerate() {
@@ -419,7 +413,9 @@ mod tests {
     fn registry_dep_shapes() {
         assert!(is_registry_dep("serde = \"1.0\""));
         assert!(is_registry_dep("rand = \"^0.8\""));
-        assert!(is_registry_dep("foo = { version = \"1\", default-features = false }"));
+        assert!(is_registry_dep(
+            "foo = { version = \"1\", default-features = false }"
+        ));
         assert!(!is_registry_dep("srt-core.workspace = true"));
         assert!(!is_registry_dep("foo = { workspace = true }"));
         assert!(!is_registry_dep("features = [\"std\"]"));

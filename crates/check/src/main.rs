@@ -77,7 +77,10 @@ fn lint_cmd(mut args: impl Iterator<Item = String>) -> ExitCode {
 
     match srt_check::lint::run_lint(&root, &allow) {
         Ok(violations) if violations.is_empty() => {
-            println!("srt-check lint: clean ({} suppression(s) loaded)", allow.len());
+            println!(
+                "srt-check lint: clean ({} suppression(s) loaded)",
+                allow.len()
+            );
             ExitCode::SUCCESS
         }
         Ok(violations) => {

@@ -309,7 +309,10 @@ impl Exec {
                 .enumerate()
                 .map(|(i, b)| format!("t{i}:{b:?}"))
                 .collect();
-            self.fail_locked(g, format!("deadlock: no runnable thread [{}]", states.join(" ")));
+            self.fail_locked(
+                g,
+                format!("deadlock: no runnable thread [{}]", states.join(" ")),
+            );
             return false;
         }
         let idx = if g.pos < g.prefix.len() {
@@ -399,7 +402,12 @@ impl Exec {
     /// Parks the caller as blocked (`why`), hands the baton to someone
     /// runnable, and returns once a waker marked the caller runnable
     /// and the scheduler picked it again.
-    pub(crate) fn block_on(self: &Arc<Self>, tid: usize, why_addr: Option<usize>, op: &'static str) {
+    pub(crate) fn block_on(
+        self: &Arc<Self>,
+        tid: usize,
+        why_addr: Option<usize>,
+        op: &'static str,
+    ) {
         if std::thread::panicking() {
             return;
         }
@@ -559,7 +567,9 @@ fn run_model_thread<T: Send + 'static>(
     CURRENT.with(|c| *c.borrow_mut() = None);
     match outcome {
         Ok(value) => {
-            *slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Ok(value));
+            *slot
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Ok(value));
             exec.thread_exit(tid, None);
         }
         Err(payload) => {
@@ -570,8 +580,9 @@ fn run_model_thread<T: Send + 'static>(
                 // the Box itself into the `dyn Any` and every downcast
                 // would miss.
                 let message = panic_message(&*payload);
-                *slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    Some(Err(payload));
+                *slot
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Err(payload));
                 exec.thread_exit(tid, Some(message));
             }
         }
@@ -639,8 +650,7 @@ where
             });
         }
         executions += 1;
-        let (failure, mut choices, trace, schedule) =
-            run_one(opts, prefix.clone(), Arc::clone(&f));
+        let (failure, mut choices, trace, schedule) = run_one(opts, prefix.clone(), Arc::clone(&f));
         if let Some(message) = failure {
             return Err(Box::new(CheckFailure {
                 message,

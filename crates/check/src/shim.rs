@@ -160,7 +160,9 @@ impl<T> Mutex<T> {
             if !self.held.swap(true, Relaxed) {
                 break;
             }
-            with_exec(|exec, tid| exec.block_on(tid, Some(addr_of(&self.held)), "Mutex::lock (parked)"));
+            with_exec(|exec, tid| {
+                exec.block_on(tid, Some(addr_of(&self.held)), "Mutex::lock (parked)")
+            });
         }
         match self.inner.try_lock() {
             Ok(g) => g,

@@ -190,7 +190,9 @@ impl HybridCost {
                 pool,
             ),
             CombinePolicy::AlwaysConvolve => {
-                let route = self.model.convolve_into(&pre.view, next_marginal, out, pool);
+                let route = self
+                    .model
+                    .convolve_into(&pre.view, next_marginal, out, pool);
                 CombineOutcome {
                     used_estimator: false,
                     route: Some(route),
@@ -389,7 +391,10 @@ mod tests {
         let edges = &traj.edges[..traj.edges.len().min(5)];
         let d = cost.path_distribution(edges).unwrap();
         let budgets = [d.start(), d.mean(), d.end()];
-        let probs: Vec<f64> = budgets.iter().map(|&b| cost.prob_within(edges, b)).collect();
+        let probs: Vec<f64> = budgets
+            .iter()
+            .map(|&b| cost.prob_within(edges, b))
+            .collect();
         assert!(probs[0] <= probs[1] && probs[1] <= probs[2]);
         assert!(probs[2] >= 0.99);
     }

@@ -180,8 +180,7 @@ impl SupportEnvelope {
     /// served envelope.
     pub fn read_bytes(data: &mut &[u8]) -> Result<Self, crate::error::CoreError> {
         use bytes::Buf;
-        let corrupt =
-            |msg: String| crate::error::CoreError::Ml(srt_ml::MlError::Corrupt(msg));
+        let corrupt = |msg: String| crate::error::CoreError::Ml(srt_ml::MlError::Corrupt(msg));
         if data.remaining() < 4 {
             return Err(corrupt("truncated envelope header".into()));
         }
@@ -290,7 +289,10 @@ mod tests {
     #[test]
     fn training_attaches_an_envelope() {
         let (_, model) = fixture();
-        let env = model.envelope.as_ref().expect("training probes an envelope");
+        let env = model
+            .envelope
+            .as_ref()
+            .expect("training probes an envelope");
         assert_eq!(env.bins(), model.bins);
         assert!(env.n_probes > 0);
         assert_eq!(env.bounds()[0], 0.0);
@@ -319,7 +321,9 @@ mod tests {
             let m1 = world.ground_truth.marginal(e1);
             let m2 = world.ground_truth.marginal(e2);
             let f = pair_features(g, m1, e1, e2, m2);
-            let out = model.estimator.predict(&f, m1.start() + m2.start(), m1.end() + m2.end());
+            let out = model
+                .estimator
+                .predict(&f, m1.start() + m2.start(), m1.end() + m2.end());
             let inst = env.instantiate(out.start(), out.end());
             assert!(inst.contains(&out), "pair {e1:?}->{e2:?}");
             checked += 1;

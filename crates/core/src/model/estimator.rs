@@ -217,7 +217,10 @@ mod tests {
             t[(peak + 1).min(bins - 1)] += 0.3;
             ys.push(t);
         }
-        (Matrix::from_rows(&xs).unwrap(), Matrix::from_rows(&ys).unwrap())
+        (
+            Matrix::from_rows(&xs).unwrap(),
+            Matrix::from_rows(&ys).unwrap(),
+        )
     }
 
     fn cfg() -> ForestConfig {

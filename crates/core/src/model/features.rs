@@ -130,8 +130,16 @@ impl PreSummary {
             turn,
             g.out_degree(junction) as f64,
             g.in_degree(junction) as f64,
-            if next_mean > 0.0 { pre_mean / next_mean } else { 0.0 },
-            if next_span > 0.0 { pre_span / next_span } else { 0.0 },
+            if next_mean > 0.0 {
+                pre_mean / next_mean
+            } else {
+                0.0
+            },
+            if next_span > 0.0 {
+                pre_span / next_span
+            } else {
+                0.0
+            },
         ]);
         f
     }
@@ -287,7 +295,11 @@ mod tests {
             } else {
                 0.0
             },
-            if next_span > 0.0 { pre_span / next_span } else { 0.0 },
+            if next_span > 0.0 {
+                pre_span / next_span
+            } else {
+                0.0
+            },
         ]
     }
 

@@ -255,8 +255,12 @@ mod tests {
         let w = world();
         let cost1 = HybridCost::from_ground_truth(w, &model, CombinePolicy::Hybrid);
         let cost2 = HybridCost::from_ground_truth(w, &model2, CombinePolicy::Hybrid);
-        let r1 = EngineBuilder::new(cost1).config(RouterConfig::default()).build();
-        let r2 = EngineBuilder::new(cost2).config(RouterConfig::default()).build();
+        let r1 = EngineBuilder::new(cost1)
+            .config(RouterConfig::default())
+            .build();
+        let r2 = EngineBuilder::new(cost2)
+            .config(RouterConfig::default())
+            .build();
 
         let mut qg = QueryGenerator::new(31);
         for q in qg.generate(&w.graph, &w.model, DistanceCategory::ZeroToOne, 4) {

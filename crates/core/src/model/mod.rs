@@ -13,8 +13,8 @@ pub mod io;
 pub mod training;
 
 pub use calibration::DominanceCalibration;
-pub use envelope::SupportEnvelope;
 pub use classifier::DependenceClassifier;
+pub use envelope::SupportEnvelope;
 pub use estimator::DistributionEstimator;
 pub use features::{
     pair_features, pair_features_partial, pair_features_view, PreSummary, FEATURE_COUNT,

@@ -112,7 +112,10 @@ fn median(sorted: &mut [f64]) -> f64 {
 }
 
 /// Selects the training/evaluation pair pool.
-fn select_pairs(world: &SyntheticWorld, cfg: &TrainingConfig) -> Result<Vec<(EdgeId, EdgeId)>, CoreError> {
+fn select_pairs(
+    world: &SyntheticWorld,
+    cfg: &TrainingConfig,
+) -> Result<Vec<(EdgeId, EdgeId)>, CoreError> {
     let wanted = cfg.train_pairs + cfg.test_pairs;
     let mut pairs = world.observations.pairs_with_at_least(cfg.min_obs);
     if pairs.len() < wanted {
@@ -139,7 +142,12 @@ fn select_pairs(world: &SyntheticWorld, cfg: &TrainingConfig) -> Result<Vec<(Edg
     Ok(pairs)
 }
 
-fn prepare_pair(world: &SyntheticWorld, cfg: &TrainingConfig, e1: EdgeId, e2: EdgeId) -> PreparedPair {
+fn prepare_pair(
+    world: &SyntheticWorld,
+    cfg: &TrainingConfig,
+    e1: EdgeId,
+    e2: EdgeId,
+) -> PreparedPair {
     let g = &world.graph;
     let gt = &world.ground_truth;
     let marg1 = gt.marginal(e1).clone();
@@ -193,7 +201,8 @@ pub fn train_hybrid(
     let y_train = Matrix::from_rows(&train.iter().map(|p| p.target.clone()).collect::<Vec<_>>())?;
     let labels_train: Vec<usize> = train.iter().map(|p| usize::from(p.dependent)).collect();
 
-    let estimator = DistributionEstimator::fit(&x_train, &y_train, cfg.bins, &cfg.forest, cfg.seed)?;
+    let estimator =
+        DistributionEstimator::fit(&x_train, &y_train, cfg.bins, &cfg.forest, cfg.seed)?;
     let classifier =
         DependenceClassifier::fit(&x_train, &labels_train, &cfg.forest, cfg.seed ^ 0x5A5A)?;
     let mut model = HybridModel {
@@ -219,8 +228,7 @@ pub fn train_hybrid(
     // Probe the estimator arm's support-mass envelope on the same
     // held-out pairs, so the router's certified-envelope bound knows how
     // much mass any estimator output can front-load.
-    let envelope =
-        crate::model::envelope::probe_support_envelope(&model, &world.graph, held_out());
+    let envelope = crate::model::envelope::probe_support_envelope(&model, &world.graph, held_out());
     model.envelope = Some(envelope);
 
     // Held-out evaluation.
@@ -232,7 +240,9 @@ pub fn train_hybrid(
 
     for p in test {
         let conv = convolve_bounded(&p.marg1, &p.marg2, cfg.bins)?;
-        let est = model.estimator.predict(&p.features, p.support.0, p.support.1);
+        let est = model
+            .estimator
+            .predict(&p.features, p.support.0, p.support.1);
         let use_est = model.classifier.use_estimation(&p.features);
         let hybrid = if use_est { est.clone() } else { conv.clone() };
 

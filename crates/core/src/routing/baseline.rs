@@ -35,14 +35,16 @@ pub struct ExpectedTimeBaseline {
 impl ExpectedTimeBaseline {
     /// Computes the baseline for one query. `None` when `target` is
     /// unreachable from `source`.
-    pub fn solve(
-        cost: &HybridCost,
-        source: NodeId,
-        target: NodeId,
-        budget_s: f64,
-    ) -> Option<Self> {
+    pub fn solve(cost: &HybridCost, source: NodeId, target: NodeId, budget_s: f64) -> Option<Self> {
         with_local_pool(|pool| {
-            Self::solve_with(cost, source, target, budget_s, &mut DijkstraScratch::new(), pool)
+            Self::solve_with(
+                cost,
+                source,
+                target,
+                budget_s,
+                &mut DijkstraScratch::new(),
+                pool,
+            )
         })
     }
 
@@ -217,10 +219,9 @@ mod tests {
         for t in (3..world.graph.num_nodes() as u32).step_by(5) {
             let s = NodeId(0);
             let t = NodeId(t);
-            let exp = srt_graph::algo::dijkstra(&world.graph, s, Some(t), |e| {
-                cost.marginal(e).mean()
-            })
-            .distance(t);
+            let exp =
+                srt_graph::algo::dijkstra(&world.graph, s, Some(t), |e| cost.marginal(e).mean())
+                    .distance(t);
             if !exp.is_finite() {
                 continue;
             }
@@ -236,7 +237,10 @@ mod tests {
         }
         // The enumeration itself must be exercised (alternatives exist on
         // a grid-like world even when none is strictly better).
-        assert!(multi_candidate_queries > 0, "Yen never enumerated alternatives");
+        assert!(
+            multi_candidate_queries > 0,
+            "Yen never enumerated alternatives"
+        );
     }
 
     #[test]
@@ -244,7 +248,9 @@ mod tests {
         use crate::routing::{EngineBuilder, Query, RouterConfig};
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-        let engine = EngineBuilder::new(cost.clone()).config(RouterConfig::default()).build();
+        let engine = EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build();
         let s = NodeId(2);
         let t = NodeId((world.graph.num_nodes() - 3) as u32);
         let exp = srt_graph::algo::dijkstra(&world.graph, s, Some(t), |e| cost.marginal(e).mean())

@@ -167,7 +167,9 @@ mod tests {
 
     /// Routes a generated query (exhaustive, no deadline).
     fn route(engine: &RoutingEngine, q: &srt_synth::Query) -> RouteResult {
-        engine.route(&Query::from(q)).expect("generated queries are valid")
+        engine
+            .route(&Query::from(q))
+            .expect("generated queries are valid")
     }
 
     #[test]
@@ -250,7 +252,9 @@ mod tests {
         let (world, model) = setup();
         let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
         let router = engine(&cost, RouterConfig::default());
-        let r = router.route(&Query::new(NodeId(4), NodeId(4), 10.0)).unwrap();
+        let r = router
+            .route(&Query::new(NodeId(4), NodeId(4), 10.0))
+            .unwrap();
         assert_eq!(r.probability, 1.0);
         assert!(r.path.unwrap().is_empty());
         assert!(r.stats.completed);
@@ -264,7 +268,9 @@ mod tests {
         let q = Query::from(queries(&world, 1)[0]);
         // The shortest deadline the engine accepts: the search may stop at
         // its first deadline check, and must still answer with the pivot.
-        let r = router.route(&q.with_deadline(Duration::from_nanos(1))).unwrap();
+        let r = router
+            .route(&q.with_deadline(Duration::from_nanos(1)))
+            .unwrap();
         assert!(r.path.is_some(), "anytime must return the pivot");
         assert!(r.probability > 0.0);
     }
@@ -367,9 +373,12 @@ mod tests {
         for q in queries(&world, 6) {
             let r = route(&pruned, &q);
             let s = r.stats;
-            assert!(s.dominance_retired <= s.pruned_dominance,
+            assert!(
+                s.dominance_retired <= s.pruned_dominance,
                 "retired {} exceeds total dominance prunes {}",
-                s.dominance_retired, s.pruned_dominance);
+                s.dominance_retired,
+                s.pruned_dominance
+            );
             // Retired labels were created; discarded newcomers were not.
             assert!(s.dominance_retired <= s.labels_created);
             saw_discard |= s.pruned_dominance > s.dominance_retired;
@@ -479,7 +488,10 @@ mod tests {
                 ..RouterConfig::default()
             },
         );
-        assert!(optimistic.certificate().is_none(), "margin mode needs no certificate");
+        assert!(
+            optimistic.certificate().is_none(),
+            "margin mode needs no certificate"
+        );
         let gated = engine(
             &cost,
             RouterConfig {
@@ -499,7 +511,10 @@ mod tests {
         );
         assert!(certified_bound.certificate().is_some());
         // The resolved margin comes from the trained calibration.
-        let cal_eps = model.calibration.expect("trained model calibrates").margin_eps;
+        let cal_eps = model
+            .calibration
+            .expect("trained model calibrates")
+            .margin_eps;
         assert_eq!(default.dominance_policy().eps(), cal_eps);
     }
 
@@ -536,7 +551,8 @@ mod tests {
                 e.probability,
                 r.probability
             );
-            env_saved += r.stats.labels_created - e.stats.labels_created.min(r.stats.labels_created);
+            env_saved +=
+                r.stats.labels_created - e.stats.labels_created.min(r.stats.labels_created);
             cert_saved +=
                 r.stats.labels_created - c.stats.labels_created.min(r.stats.labels_created);
         }

@@ -258,7 +258,10 @@ impl fmt::Display for EngineError {
                 )
             }
             EngineError::NodeOutOfRange { node, num_nodes } => {
-                write!(f, "{node} is out of range for a graph of {num_nodes} vertices")
+                write!(
+                    f,
+                    "{node} is out of range for a graph of {num_nodes} vertices"
+                )
             }
             EngineError::ZeroDeadline => {
                 write!(f, "anytime deadline of zero admits no search at all")
@@ -809,7 +812,6 @@ impl ModelEpoch {
     pub fn envelope(&self) -> Option<&SupportEnvelope> {
         self.envelope.as_ref()
     }
-
 }
 
 /// Typed rejection of a [`RoutingEngine::swap_model`] candidate. A
@@ -978,8 +980,8 @@ impl RoutingEngine {
     /// supported version, v1–v3): decode failures come back as
     /// [`SwapError::Snapshot`], and the old epoch keeps serving.
     pub fn swap_model_bytes(&self, bytes: &[u8]) -> Result<u64, SwapError> {
-        let model = crate::model::io::from_bytes(bytes)
-            .map_err(|e| SwapError::Snapshot(e.to_string()))?;
+        let model =
+            crate::model::io::from_bytes(bytes).map_err(|e| SwapError::Snapshot(e.to_string()))?;
         self.swap_model(model)
     }
 
@@ -1240,12 +1242,14 @@ impl RoutingEngine {
         let pool_before = ctx.pool.stats();
         let result = self.route_inner(epoch, query, ctx);
         let pool_after = ctx.pool.stats();
-        self.counters
-            .pool_reuse
-            .fetch_add(pool_after.reuses - pool_before.reuses, AtomicOrdering::Relaxed);
-        self.counters
-            .pool_misses
-            .fetch_add(pool_after.mints - pool_before.mints, AtomicOrdering::Relaxed);
+        self.counters.pool_reuse.fetch_add(
+            pool_after.reuses - pool_before.reuses,
+            AtomicOrdering::Relaxed,
+        );
+        self.counters.pool_misses.fetch_add(
+            pool_after.mints - pool_before.mints,
+            AtomicOrdering::Relaxed,
+        );
         result
     }
 
@@ -1408,8 +1412,9 @@ impl RoutingEngine {
                         stats.completed = false;
                         stats.elapsed = start_time.elapsed();
                         flush_lattice(&self.counters, lattice_hits);
-                        return self
-                            .record(self.finish(epoch, incumbent, best_prob, arena, stats, budget_s));
+                        return self.record(
+                            self.finish(epoch, incumbent, best_prob, arena, stats, budget_s),
+                        );
                     }
                 }
             }
@@ -1572,10 +1577,7 @@ impl RoutingEngine {
             incumbent_prob: *best_prob,
             certified,
             envelope: epoch.envelope.as_ref(),
-            next_span_lb: epoch
-                .min_out_span
-                .as_ref()
-                .map_or(0.0, |s| s[head.index()]),
+            next_span_lb: epoch.min_out_span.as_ref().map_or(0.0, |s| s[head.index()]),
         };
 
         // The always-sound feasibility cut.
@@ -1939,7 +1941,10 @@ impl BatchExecutor {
         c.batches.fetch_add(1, AtomicOrdering::Relaxed);
         c.queries
             .fetch_add(queries.len() as u64, AtomicOrdering::Relaxed);
-        engine.counters.batches.fetch_add(1, AtomicOrdering::Relaxed);
+        engine
+            .counters
+            .batches
+            .fetch_add(1, AtomicOrdering::Relaxed);
         // Pin once: the whole batch answers against one model generation.
         let epoch = engine.current_epoch();
 

@@ -173,9 +173,8 @@ impl<'a> OracleRouter<'a> {
             });
         }
 
-        let bounds = OptimisticBounds::compute(g, target, |e| {
-            self.cost.marginal(e).start().max(0.0)
-        });
+        let bounds =
+            OptimisticBounds::compute(g, target, |e| self.cost.marginal(e).start().max(0.0));
         if !bounds.reachable(source) {
             return Some(OracleRoute {
                 probability: 0.0,
@@ -311,8 +310,8 @@ mod tests {
             if s == t {
                 continue;
             }
-            let exp = srt_graph::algo::dijkstra(g, s, Some(t), |e| cost.marginal(e).mean())
-                .distance(t);
+            let exp =
+                srt_graph::algo::dijkstra(g, s, Some(t), |e| cost.marginal(e).mean()).distance(t);
             if exp.is_finite() {
                 out.push((s, t, exp * 1.02));
             }
@@ -370,6 +369,9 @@ mod tests {
         let cost = HybridCost::from_ground_truth(world, model, CombinePolicy::Hybrid);
         let oracle = OracleRouter::new(&cost);
         let (s, t, budget) = tight_queries(world, &cost, 1)[0];
-        assert!(oracle.route(s, t, budget, 1).is_none(), "cap of 1 must overflow");
+        assert!(
+            oracle.route(s, t, budget, 1).is_none(),
+            "cap of 1 must overflow"
+        );
     }
 }

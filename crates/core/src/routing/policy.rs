@@ -250,8 +250,7 @@ impl BoundPolicy {
                         if num <= 0.0 {
                             0.0
                         } else {
-                            let span =
-                                ctx.hist.end() - ctx.hist.start() + ctx.next_span_lb;
+                            let span = ctx.hist.end() - ctx.hist.start() + ctx.next_span_lb;
                             env.bound_at_fraction(num / span)
                         }
                     }
@@ -466,9 +465,7 @@ impl ConvCertificate {
             CombinePolicy::AlwaysConvolve => ConvCertificate {
                 all_conv: vec![true; ne],
             },
-            CombinePolicy::AlwaysEstimate => {
-                Self::fixpoint(g, |_, _| false)
-            }
+            CombinePolicy::AlwaysEstimate => Self::fixpoint(g, |_, _| false),
             CombinePolicy::Hybrid => {
                 let model = cost.model();
                 Self::fixpoint(g, |e, e2| {
@@ -625,7 +622,9 @@ mod tests {
         let infeasible = ctx(&h, 9.0, 0.0, 0.0);
         assert_eq!(certified.upper_bound(&infeasible), 0.0);
 
-        let off = BoundPolicy { mode: BoundMode::Off };
+        let off = BoundPolicy {
+            mode: BoundMode::Off,
+        };
         assert!(off.admits(&beaten));
         assert!(!off.prunes());
         assert!((off.upper_bound(&c) - 0.5).abs() < 1e-12, "still orders");
@@ -702,9 +701,15 @@ mod tests {
         let gated = DominancePolicy::resolve(DominanceMode::ConvGated, None);
         let off = DominancePolicy::resolve(DominanceMode::Off, None);
 
-        assert!(first.discards(&keeper, &candidate, false), "legacy ignores exchange safety");
+        assert!(
+            first.discards(&keeper, &candidate, false),
+            "legacy ignores exchange safety"
+        );
         assert!(gated.discards(&keeper, &candidate, true));
-        assert!(!gated.discards(&keeper, &candidate, false), "gated respects exchange safety");
+        assert!(
+            !gated.discards(&keeper, &candidate, false),
+            "gated respects exchange safety"
+        );
         assert!(!off.discards(&keeper, &candidate, true));
         assert!(!first.discards(&candidate, &keeper, true), "order matters");
 
@@ -724,15 +729,24 @@ mod tests {
             hist: slow_offgrid.view(),
             certified: true,
         };
-        assert!(!gated.discards(&keeper, &offgrid, true), "off-lattice pair must be kept");
-        assert!(first.discards(&keeper, &offgrid, true), "legacy still prunes it");
+        assert!(
+            !gated.discards(&keeper, &offgrid, true),
+            "off-lattice pair must be kept"
+        );
+        assert!(
+            first.discards(&keeper, &offgrid, true),
+            "legacy still prunes it"
+        );
         let far = hist(10.0, &[1.0]);
         let disjoint = LabelView {
             offset: 0.0,
             hist: far.view(),
             certified: true,
         };
-        assert!(gated.discards(&keeper, &disjoint, true), "disjoint supports are safe");
+        assert!(
+            gated.discards(&keeper, &disjoint, true),
+            "disjoint supports are safe"
+        );
 
         // Margin: resolved from an explicit eps; the 0.2 CDF gap decides.
         let narrow = DominancePolicy::resolve(DominanceMode::Margin { eps: Some(0.1) }, None);
@@ -758,7 +772,10 @@ mod tests {
         let unknown = DominancePolicy::resolve(DominanceMode::Margin { eps: None }, None);
         assert_eq!(unknown.eps(), f64::INFINITY, "uncalibrated = conservative");
         // Non-margin modes carry no margin.
-        assert_eq!(DominancePolicy::resolve(DominanceMode::FirstOrder, Some(&cal)).eps(), 0.0);
+        assert_eq!(
+            DominancePolicy::resolve(DominanceMode::FirstOrder, Some(&cal)).eps(),
+            0.0
+        );
     }
 
     #[test]

@@ -40,7 +40,9 @@ fn engine(cost: &HybridCost, cfg: RouterConfig) -> RoutingEngine {
 }
 
 fn route(engine: &RoutingEngine, src: NodeId, dst: NodeId, budget: f64) -> RouteResult {
-    engine.route(&Query::new(src, dst, budget)).expect("valid query")
+    engine
+        .route(&Query::new(src, dst, budget))
+        .expect("valid query")
 }
 
 proptest! {

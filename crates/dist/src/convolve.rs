@@ -149,7 +149,15 @@ fn project_fine(h: &HistogramView<'_>, w: f64, pool: &mut HistogramPool) -> Vec<
     let span = h.end() - h.start();
     let nbins = projection_bins(span, w);
     let mut tmp = pool.checkout_vec();
-    redistribute_into(h.start(), h.width(), h.probs(), h.start(), w, nbins, &mut tmp);
+    redistribute_into(
+        h.start(),
+        h.width(),
+        h.probs(),
+        h.start(),
+        w,
+        nbins,
+        &mut tmp,
+    );
     // The value pipeline materialized the projection through
     // `Histogram::new`, normalizing it before the aligned convolution.
     normalize_masses(&mut tmp);
@@ -263,8 +271,8 @@ pub fn convolve_bounded_into(
         // The grid projecting `coarse` onto `fine`'s lattice, convolving
         // there and capping would produce — same expressions, same bits.
         let w = fine.width();
-        let n = projection_bins(coarse.end() - coarse.start(), w)
-            .saturating_add(fine.num_bins() - 1);
+        let n =
+            projection_bins(coarse.end() - coarse.start(), w).saturating_add(fine.num_bins() - 1);
         if n <= max_bins {
             convolve_into(a, b, out, pool);
             debug_assert_eq!(out.num_bins(), n);
@@ -305,7 +313,15 @@ pub fn convolve_bounded_into(
     let span = a.width() * n as f64;
     let width = span / max_bins as f64;
     let masses = out.reset_masses();
-    accumulate_capped(a.probs(), b.probs(), start, a.width(), width, max_bins, masses);
+    accumulate_capped(
+        a.probs(),
+        b.probs(),
+        start,
+        a.width(),
+        width,
+        max_bins,
+        masses,
+    );
     out.set_grid(start, width);
     Ok(if lattice {
         ConvRoute::LatticeCapped

@@ -43,7 +43,11 @@ impl<'a> HistogramView<'a> {
     pub fn from_raw(start: f64, width: f64, probs: &'a [f64]) -> Self {
         debug_assert!(!probs.is_empty(), "view over an empty mass slice");
         debug_assert!(width.is_finite() && width > 0.0, "invalid view width");
-        HistogramView { start, width, probs }
+        HistogramView {
+            start,
+            width,
+            probs,
+        }
     }
 
     /// Left edge of the support.
@@ -241,7 +245,11 @@ impl Histogram {
                 *p /= total;
             }
         }
-        Ok(Histogram { start, width, probs })
+        Ok(Histogram {
+            start,
+            width,
+            probs,
+        })
     }
 
     /// A single-bucket histogram: all mass in `[value, value + width)`.
@@ -728,11 +736,7 @@ mod tests {
             for i in 1..100 {
                 let q = i as f64 / 100.0;
                 let x = h.quantile(q);
-                assert!(
-                    (h.cdf(x) - q).abs() < 1e-9,
-                    "q={q} x={x} cdf={}",
-                    h.cdf(x)
-                );
+                assert!((h.cdf(x) - q).abs() < 1e-9, "q={q} x={x} cdf={}", h.cdf(x));
                 assert_eq!(v.quantile(q).to_bits(), x.to_bits());
             }
         }

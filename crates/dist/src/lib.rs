@@ -87,7 +87,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![warn(missing_docs)]
 
 pub mod dominance;

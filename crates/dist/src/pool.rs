@@ -312,7 +312,13 @@ impl HistogramBuf {
         let new_width = span / max_bins as f64;
         let mut tmp = scratch.checkout_vec();
         redistribute_into(
-            self.start, self.width, &self.probs, self.start, new_width, max_bins, &mut tmp,
+            self.start,
+            self.width,
+            &self.probs,
+            self.start,
+            new_width,
+            max_bins,
+            &mut tmp,
         );
         std::mem::swap(&mut self.probs, &mut tmp);
         scratch.checkin(tmp);

@@ -104,7 +104,15 @@ fn project_fine_ref(h: &HistogramView<'_>, w: f64, pool: &mut HistogramPool) -> 
     let span = h.end() - h.start();
     let nbins = projection_bins(span, w);
     let mut tmp = pool.checkout_vec();
-    redistribute_into_ref(h.start(), h.width(), h.probs(), h.start(), w, nbins, &mut tmp);
+    redistribute_into_ref(
+        h.start(),
+        h.width(),
+        h.probs(),
+        h.start(),
+        w,
+        nbins,
+        &mut tmp,
+    );
     normalize_masses(&mut tmp);
     tmp
 }
@@ -189,8 +197,8 @@ pub fn convolve_bounded_into_ref(
             (b, a)
         };
         let w = fine.width();
-        let n = projection_bins(coarse.end() - coarse.start(), w)
-            .saturating_add(fine.num_bins() - 1);
+        let n =
+            projection_bins(coarse.end() - coarse.start(), w).saturating_add(fine.num_bins() - 1);
         if n <= max_bins {
             convolve_into_ref(a, b, out, pool);
             return Ok(());

@@ -18,7 +18,14 @@ fn assert_bits_eq(a: &Histogram, b: &Histogram) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.width().to_bits(), b.width().to_bits(), "width differs");
     prop_assert_eq!(a.num_bins(), b.num_bins(), "bin count differs");
     for (i, (x, y)) in a.probs().iter().zip(b.probs()).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "mass {} differs: {} vs {}", i, x, y);
+        prop_assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "mass {} differs: {} vs {}",
+            i,
+            x,
+            y
+        );
     }
     Ok(())
 }

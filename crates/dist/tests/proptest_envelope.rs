@@ -10,7 +10,9 @@ use srt_dist::{convolve, convolve_bounded, Histogram, MassEnvelope};
 /// Random bucket masses with at least one strictly positive entry.
 fn arb_masses(max_bins: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..1.0, 1..max_bins)
-        .prop_filter("needs positive total mass", |v| v.iter().sum::<f64>() > 1e-6)
+        .prop_filter("needs positive total mass", |v| {
+            v.iter().sum::<f64>() > 1e-6
+        })
 }
 
 /// A random histogram with its own support anchor and width.

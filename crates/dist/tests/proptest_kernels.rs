@@ -175,7 +175,14 @@ fn assert_bits_eq(a: &Histogram, b: &Histogram) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.width().to_bits(), b.width().to_bits(), "width differs");
     prop_assert_eq!(a.num_bins(), b.num_bins(), "bin count differs");
     for (i, (x, y)) in a.probs().iter().zip(b.probs()).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "mass {} differs: {} vs {}", i, x, y);
+        prop_assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "mass {} differs: {} vs {}",
+            i,
+            x,
+            y
+        );
     }
     Ok(())
 }
@@ -207,11 +214,26 @@ fn diff_bounded(a: &Histogram, b: &Histogram, cap: usize) -> Result<ConvRoute, T
     convolve_bounded_into_ref(&a.view(), &b.view(), cap, &mut out_r, &mut pool_r)
         .expect("positive cap");
 
-    prop_assert_eq!(out_p.start().to_bits(), out_r.start().to_bits(), "start differs");
-    prop_assert_eq!(out_p.width().to_bits(), out_r.width().to_bits(), "width differs");
+    prop_assert_eq!(
+        out_p.start().to_bits(),
+        out_r.start().to_bits(),
+        "start differs"
+    );
+    prop_assert_eq!(
+        out_p.width().to_bits(),
+        out_r.width().to_bits(),
+        "width differs"
+    );
     prop_assert_eq!(out_p.num_bins(), out_r.num_bins(), "bin count differs");
     for (i, (x, y)) in out_p.masses().iter().zip(out_r.masses()).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "raw mass {} differs: {} vs {}", i, x, y);
+        prop_assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "raw mass {} differs: {} vs {}",
+            i,
+            x,
+            y
+        );
     }
 
     pool_p.checkin_buf(out_p);

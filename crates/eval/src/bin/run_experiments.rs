@@ -57,7 +57,11 @@ fn main() {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
 
-    writeln!(out, "# Stochastic-routing experiment run (scale: {scale:?})\n").unwrap();
+    writeln!(
+        out,
+        "# Stochastic-routing experiment run (scale: {scale:?})\n"
+    )
+    .unwrap();
 
     // E1/E2 need no world.
     if wants("e1") {

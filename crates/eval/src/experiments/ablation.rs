@@ -218,7 +218,13 @@ pub fn run_dominance_soundness(
     let mut rows = Vec::new();
     let mut table = Table::new(
         "A1b — Dominance-mode soundness vs. dominance off",
-        &["Mode", "Mean labels", "Pruned/query", "Δ prob (mean)", "Δ prob (max)"],
+        &[
+            "Mode",
+            "Mean labels",
+            "Pruned/query",
+            "Δ prob (mean)",
+            "Δ prob (max)",
+        ],
     );
     for (name, mode) in modes {
         let cfg = RouterConfig {
@@ -298,7 +304,13 @@ pub fn run_bound_soundness(ctx: &EvalContext, n_queries: usize) -> (Table, Vec<B
     let mut rows = Vec::new();
     let mut table = Table::new(
         "A1c — Bound-mode soundness and sharpness vs. bound off",
-        &["Mode", "Mean labels", "Pruned/query", "Δ prob (mean)", "Δ prob (max)"],
+        &[
+            "Mode",
+            "Mean labels",
+            "Pruned/query",
+            "Δ prob (mean)",
+            "Δ prob (max)",
+        ],
     );
     for (name, bound) in modes {
         // The reference row reuses the reference pass — the unpruned

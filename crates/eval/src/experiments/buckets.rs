@@ -62,7 +62,11 @@ mod tests {
         assert_eq!(rows[1].bins, 10);
         for r in &rows {
             assert!(r.kl_hybrid.is_finite());
-            assert!(r.kl_hybrid <= r.kl_convolution * 1.15, "hybrid worse at B={}", r.bins);
+            assert!(
+                r.kl_hybrid <= r.kl_convolution * 1.15,
+                "hybrid worse at B={}",
+                r.bins
+            );
         }
     }
 }

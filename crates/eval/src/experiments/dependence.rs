@@ -39,7 +39,11 @@ pub fn run(ctx: &EvalContext, max_pairs: usize) -> (Table, DependenceResult) {
     };
     let mut table = Table::new(
         "E4 — Dependent edge pairs (paper: ~75 %)",
-        &["Pairs examined", "KL-labelled dependent", "Generator junction flags"],
+        &[
+            "Pairs examined",
+            "KL-labelled dependent",
+            "Generator junction flags",
+        ],
     );
     table.push_row(vec![
         format!("{}", result.pairs_examined),

@@ -49,7 +49,12 @@ pub fn run(ctx: &EvalContext, queries_per_category: usize) -> (Table, Vec<Effici
     );
 
     for cat in DistanceCategory::ALL {
-        let queries = qg.generate(&ctx.world.graph, &ctx.world.model, cat, queries_per_category);
+        let queries = qg.generate(
+            &ctx.world.graph,
+            &ctx.world.model,
+            cat,
+            queries_per_category,
+        );
         if queries.is_empty() {
             continue;
         }

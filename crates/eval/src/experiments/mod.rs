@@ -66,7 +66,9 @@ mod tests {
             6,
         );
         let parallel = route_queries(&cost, RouterConfig::default(), &queries, None);
-        let engine = EngineBuilder::new(cost.clone()).config(RouterConfig::default()).build();
+        let engine = EngineBuilder::new(cost.clone())
+            .config(RouterConfig::default())
+            .build();
         let mut ctx = SearchContext::new();
         for (q, r) in queries.iter().zip(&parallel) {
             let serial = engine

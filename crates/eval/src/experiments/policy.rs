@@ -42,7 +42,10 @@ fn replay_true_probability(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hits = 0usize;
     for _ in 0..n {
-        let times = ctx.world.model.simulate_path(&ctx.world.graph, edges, &mut rng);
+        let times = ctx
+            .world
+            .model
+            .simulate_path(&ctx.world.graph, edges, &mut rng);
         if times.iter().sum::<f64>() <= budget {
             hits += 1;
         }
@@ -132,7 +135,10 @@ mod tests {
         let ctx = build_context(Scale::Tiny);
         let (_, rows) = run(&ctx, 8, 300);
         let hybrid = rows.iter().find(|r| r.name.contains("hybrid")).unwrap();
-        let conv = rows.iter().find(|r| r.name.contains("convolution")).unwrap();
+        let conv = rows
+            .iter()
+            .find(|r| r.name.contains("convolution"))
+            .unwrap();
         // The hybrid believes distributions closer to reality (E3), so its
         // belief about its own route should be at least as well calibrated.
         assert!(

@@ -273,7 +273,12 @@ impl DijkstraScratch {
 /// Dijkstra from `source`; stops early once `target` (if given) settles.
 ///
 /// `weight` must return non-negative finite values.
-pub fn dijkstra<W>(g: &RoadGraph, source: NodeId, target: Option<NodeId>, weight: W) -> ShortestPaths
+pub fn dijkstra<W>(
+    g: &RoadGraph,
+    source: NodeId,
+    target: Option<NodeId>,
+    weight: W,
+) -> ShortestPaths
 where
     W: Fn(EdgeId) -> f64,
 {
@@ -633,7 +638,9 @@ mod tests {
     #[test]
     fn dijkstra_picks_cheapest_route() {
         let g = line_with_shortcut();
-        let sp = dijkstra(&g, NodeId(0), Some(NodeId(2)), |e| g.attrs(e).freeflow_time_s());
+        let sp = dijkstra(&g, NodeId(0), Some(NodeId(2)), |e| {
+            g.attrs(e).freeflow_time_s()
+        });
         assert!((sp.distance(NodeId(2)) - 20.0).abs() < 1e-9);
         let p = sp.extract_path(NodeId(2)).unwrap();
         assert_eq!(p.edges, vec![EdgeId(0), EdgeId(1)]);

@@ -104,7 +104,7 @@ mod tests {
     fn bounds_are_manhattan_times_on_grid() {
         let g = grid3();
         let b = OptimisticBounds::freeflow(&g, NodeId(8)); // corner (2,2)
-        // Node 0 at (0,0): 4 edges x 10 s.
+                                                           // Node 0 at (0,0): 4 edges x 10 s.
         assert!((b.remaining(NodeId(0)) - 40.0).abs() < 1e-9);
         // Node 5 at (2,1): 1 edge.
         assert!((b.remaining(NodeId(5)) - 10.0).abs() < 1e-9);
@@ -116,8 +116,7 @@ mod tests {
         let w = |e: crate::ids::EdgeId| g.attrs(e).freeflow_time_s();
         let b = OptimisticBounds::freeflow(&g, NodeId(7));
         for v in g.node_ids() {
-            let true_cost =
-                crate::algo::dijkstra(&g, v, Some(NodeId(7)), w).distance(NodeId(7));
+            let true_cost = crate::algo::dijkstra(&g, v, Some(NodeId(7)), w).distance(NodeId(7));
             assert!(b.remaining(v) <= true_cost + 1e-9);
         }
     }

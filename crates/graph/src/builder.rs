@@ -59,7 +59,12 @@ impl GraphBuilder {
 
     /// Adds a pair of directed edges `a <-> b` with identical attributes,
     /// returning `(a->b, b->a)`. Convenience for bidirectional roads.
-    pub fn add_bidirectional(&mut self, a: NodeId, b: NodeId, attrs: EdgeAttrs) -> (EdgeId, EdgeId) {
+    pub fn add_bidirectional(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        attrs: EdgeAttrs,
+    ) -> (EdgeId, EdgeId) {
         (self.add_edge(a, b, attrs), self.add_edge(b, a, attrs))
     }
 

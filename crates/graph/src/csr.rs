@@ -190,11 +190,31 @@ mod tests {
         let n1 = b.add_node(Point::new(10.01, 56.01));
         let n2 = b.add_node(Point::new(10.01, 55.99));
         let n3 = b.add_node(Point::new(10.02, 56.00));
-        b.add_edge(n0, n1, EdgeAttrs::with_default_speed(900.0, RoadCategory::Primary));
-        b.add_edge(n0, n2, EdgeAttrs::with_default_speed(800.0, RoadCategory::Secondary));
-        b.add_edge(n1, n3, EdgeAttrs::with_default_speed(700.0, RoadCategory::Primary));
-        b.add_edge(n2, n3, EdgeAttrs::with_default_speed(600.0, RoadCategory::Secondary));
-        b.add_edge(n1, n2, EdgeAttrs::with_default_speed(2200.0, RoadCategory::Residential));
+        b.add_edge(
+            n0,
+            n1,
+            EdgeAttrs::with_default_speed(900.0, RoadCategory::Primary),
+        );
+        b.add_edge(
+            n0,
+            n2,
+            EdgeAttrs::with_default_speed(800.0, RoadCategory::Secondary),
+        );
+        b.add_edge(
+            n1,
+            n3,
+            EdgeAttrs::with_default_speed(700.0, RoadCategory::Primary),
+        );
+        b.add_edge(
+            n2,
+            n3,
+            EdgeAttrs::with_default_speed(600.0, RoadCategory::Secondary),
+        );
+        b.add_edge(
+            n1,
+            n2,
+            EdgeAttrs::with_default_speed(2200.0, RoadCategory::Residential),
+        );
         b.build()
     }
 

@@ -60,7 +60,9 @@ pub fn to_bytes(g: &RoadGraph) -> Bytes {
 pub fn from_bytes(mut data: &[u8]) -> Result<RoadGraph, GraphError> {
     fn need(data: &[u8], n: usize, what: &str) -> Result<(), GraphError> {
         if data.remaining() < n {
-            Err(GraphError::Corrupt(format!("truncated while reading {what}")))
+            Err(GraphError::Corrupt(format!(
+                "truncated while reading {what}"
+            )))
         } else {
             Ok(())
         }
@@ -73,12 +75,19 @@ pub fn from_bytes(mut data: &[u8]) -> Result<RoadGraph, GraphError> {
     }
     let version = data.get_u32_le();
     if version != VERSION {
-        return Err(GraphError::Corrupt(format!("unsupported version {version}")));
+        return Err(GraphError::Corrupt(format!(
+            "unsupported version {version}"
+        )));
     }
     let n = data.get_u64_le() as usize;
     let m = data.get_u64_le() as usize;
 
-    need(data, n.checked_mul(16).ok_or_else(|| GraphError::Corrupt("node count overflow".into()))?, "nodes")?;
+    need(
+        data,
+        n.checked_mul(16)
+            .ok_or_else(|| GraphError::Corrupt("node count overflow".into()))?,
+        "nodes",
+    )?;
     let mut b = GraphBuilder::with_capacity(n, m);
     for _ in 0..n {
         let lon = data.get_f64_le();
@@ -99,7 +108,9 @@ pub fn from_bytes(mut data: &[u8]) -> Result<RoadGraph, GraphError> {
         let category = RoadCategory::from_index(cat_idx)
             .ok_or_else(|| GraphError::Corrupt(format!("edge #{i}: bad category {cat_idx}")))?;
         if !length_m.is_finite() || length_m < 0.0 {
-            return Err(GraphError::Corrupt(format!("edge #{i}: bad length {length_m}")));
+            return Err(GraphError::Corrupt(format!(
+                "edge #{i}: bad length {length_m}"
+            )));
         }
         b.add_edge(from, to, EdgeAttrs::new(length_m, category, speed));
     }

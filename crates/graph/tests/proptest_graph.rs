@@ -7,8 +7,11 @@ use srt_graph::{EdgeAttrs, EdgeId, GraphBuilder, NodeId, OptimisticBounds, Point
 /// A random strongly-ish connected digraph: a ring over all nodes (ensures
 /// strong connectivity) plus arbitrary chords.
 fn arb_graph() -> impl Strategy<Value = srt_graph::RoadGraph> {
-    (3usize..20, proptest::collection::vec((0usize..20, 0usize..20, 50.0f64..2000.0), 0..40)).prop_map(
-        |(n, chords)| {
+    (
+        3usize..20,
+        proptest::collection::vec((0usize..20, 0usize..20, 50.0f64..2000.0), 0..40),
+    )
+        .prop_map(|(n, chords)| {
             let mut b = GraphBuilder::new();
             let ids: Vec<NodeId> = (0..n)
                 .map(|i| b.add_node(Point::new(10.0 + 0.001 * i as f64, 56.0)))
@@ -31,8 +34,7 @@ fn arb_graph() -> impl Strategy<Value = srt_graph::RoadGraph> {
                 }
             }
             b.build()
-        },
-    )
+        })
 }
 
 proptest! {

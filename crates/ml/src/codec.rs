@@ -27,7 +27,9 @@ pub(crate) fn get_u32(data: &mut &[u8], what: &str) -> Result<u32, MlError> {
 pub(crate) fn get_count(data: &mut &[u8], cap: usize, what: &str) -> Result<usize, MlError> {
     let v = get_u32(data, what)? as usize;
     if v > cap {
-        return Err(MlError::Corrupt(format!("{what} count {v} exceeds cap {cap}")));
+        return Err(MlError::Corrupt(format!(
+            "{what} count {v} exceeds cap {cap}"
+        )));
     }
     Ok(v)
 }

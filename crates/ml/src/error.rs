@@ -8,7 +8,11 @@ pub enum MlError {
     /// A dataset had no rows (or no columns).
     EmptyDataset,
     /// Ragged input: rows with different column counts.
-    RaggedRows { expected: usize, found: usize, row: usize },
+    RaggedRows {
+        expected: usize,
+        found: usize,
+        row: usize,
+    },
     /// Feature matrix and target disagree on the number of rows.
     LengthMismatch { x_rows: usize, y_rows: usize },
     /// A prediction was requested with the wrong feature count.
@@ -25,7 +29,11 @@ impl fmt::Display for MlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MlError::EmptyDataset => write!(f, "dataset is empty"),
-            MlError::RaggedRows { expected, found, row } => {
+            MlError::RaggedRows {
+                expected,
+                found,
+                row,
+            } => {
                 write!(f, "row {row} has {found} columns, expected {expected}")
             }
             MlError::LengthMismatch { x_rows, y_rows } => {
@@ -49,9 +57,13 @@ mod tests {
 
     #[test]
     fn messages_are_specific() {
-        assert!(MlError::RaggedRows { expected: 3, found: 2, row: 5 }
-            .to_string()
-            .contains("row 5"));
+        assert!(MlError::RaggedRows {
+            expected: 3,
+            found: 2,
+            row: 5
+        }
+        .to_string()
+        .contains("row 5"));
         assert!(MlError::BadLabel(7).to_string().contains('7'));
     }
 }

@@ -569,7 +569,11 @@ mod tests {
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for i in 0..40 {
-            let (cx, cy, l) = if i % 2 == 0 { (0.0, 0.0, 0) } else { (10.0, 10.0, 1) };
+            let (cx, cy, l) = if i % 2 == 0 {
+                (0.0, 0.0, 0)
+            } else {
+                (10.0, 10.0, 1)
+            };
             rows.push(vec![cx + (i % 5) as f64 * 0.2, cy + (i % 7) as f64 * 0.2]);
             labels.push(l);
         }

@@ -292,9 +292,7 @@ fn best_regression_split<R: Rng>(
                 child_sse += rq - rs * rs / n_right as f64;
             }
             let score = parent_sse - child_sse;
-            if score > cfg.min_impurity_decrease
-                && best.as_ref().is_none_or(|b| score > b.score)
-            {
+            if score > cfg.min_impurity_decrease && best.as_ref().is_none_or(|b| score > b.score) {
                 best = Some(RegSplit {
                     feature: f,
                     threshold: 0.5 * (v_here + v_next),
@@ -569,12 +567,10 @@ fn best_classification_split<R: Rng>(
                 continue;
             }
             let right: Vec<f64> = total.iter().zip(&left).map(|(t, l)| t - l).collect();
-            let child =
-                gini(&left, n_left as f64) * n_left as f64 + gini(&right, n_right as f64) * n_right as f64;
+            let child = gini(&left, n_left as f64) * n_left as f64
+                + gini(&right, n_right as f64) * n_right as f64;
             let score = parent - child;
-            if score > cfg.min_impurity_decrease
-                && best.as_ref().is_none_or(|b| score > b.score)
-            {
+            if score > cfg.min_impurity_decrease && best.as_ref().is_none_or(|b| score > b.score) {
                 best = Some(ClsSplit {
                     feature: f,
                     threshold: 0.5 * (v_here + v_next),
@@ -595,7 +591,14 @@ impl ClassificationTree {
         cfg: &TreeConfig,
         rng: &mut R,
     ) -> Result<Self, MlError> {
-        Self::fit_on(x, y, &(0..x.rows()).collect::<Vec<_>>(), n_classes, cfg, rng)
+        Self::fit_on(
+            x,
+            y,
+            &(0..x.rows()).collect::<Vec<_>>(),
+            n_classes,
+            cfg,
+            rng,
+        )
     }
 
     /// Fits on a subset of rows (used by bagging).
@@ -890,7 +893,8 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
         let labels: Vec<usize> = (0..40).map(|i| usize::from(i >= 20)).collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        let t = ClassificationTree::fit(&x, &labels, 2, &TreeConfig::default(), &mut rng()).unwrap();
+        let t =
+            ClassificationTree::fit(&x, &labels, 2, &TreeConfig::default(), &mut rng()).unwrap();
         assert_eq!(t.predict_row(&[5.0]), 0);
         assert_eq!(t.predict_row(&[35.0]), 1);
         let p = t.predict_proba_row(&[5.0]);
@@ -901,8 +905,8 @@ mod tests {
     #[test]
     fn classification_rejects_out_of_range_labels() {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
-        let err =
-            ClassificationTree::fit(&x, &[0, 5], 2, &TreeConfig::default(), &mut rng()).unwrap_err();
+        let err = ClassificationTree::fit(&x, &[0, 5], 2, &TreeConfig::default(), &mut rng())
+            .unwrap_err();
         assert!(matches!(err, MlError::BadLabel(5)));
     }
 
@@ -920,7 +924,8 @@ mod tests {
             }
         }
         let x = Matrix::from_rows(&rows).unwrap();
-        let t = ClassificationTree::fit(&x, &labels, 2, &TreeConfig::default(), &mut rng()).unwrap();
+        let t =
+            ClassificationTree::fit(&x, &labels, 2, &TreeConfig::default(), &mut rng()).unwrap();
         assert_eq!(t.predict_row(&[1.0, 1.0]), 1);
         assert_eq!(t.predict_row(&[1.0, 0.0]), 0);
         assert_eq!(t.predict_row(&[0.0, 1.0]), 0);
@@ -956,7 +961,8 @@ mod tests {
             labels.push(usize::from(a > 0.5 && b > 0.5));
         }
         let x = Matrix::from_rows(&rows).unwrap();
-        let t = ClassificationTree::fit(&x, &labels, 2, &TreeConfig::default(), &mut rng()).unwrap();
+        let t =
+            ClassificationTree::fit(&x, &labels, 2, &TreeConfig::default(), &mut rng()).unwrap();
 
         // Fully known rows: bounds collapse to the point prediction.
         for probe in [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]] {

@@ -52,7 +52,10 @@ fn classification_tree_round_trips() {
     let mut data = &bytes[..];
     let t2 = ClassificationTree::read_bytes(&mut data).unwrap();
     for i in 0..x.rows() {
-        assert_eq!(t.predict_proba_row(x.row(i)), t2.predict_proba_row(x.row(i)));
+        assert_eq!(
+            t.predict_proba_row(x.row(i)),
+            t2.predict_proba_row(x.row(i))
+        );
     }
 }
 
@@ -81,7 +84,10 @@ fn classification_forest_round_trips() {
     let mut data = &bytes[..];
     let f2 = RandomForestClassifier::read_bytes(&mut data).unwrap();
     for i in (0..x.rows()).step_by(5) {
-        assert_eq!(f.predict_proba_row(x.row(i)), f2.predict_proba_row(x.row(i)));
+        assert_eq!(
+            f.predict_proba_row(x.row(i)),
+            f2.predict_proba_row(x.row(i))
+        );
     }
 }
 

@@ -473,8 +473,7 @@ pub(crate) fn io_loop(
                                 }
                                 Ok(work) => {
                                     let idle = shared.queue.is_empty()
-                                        && metrics.inflight_requests.load(Ordering::Relaxed)
-                                            == 0
+                                        && metrics.inflight_requests.load(Ordering::Relaxed) == 0
                                         && seq == conn.next_write_seq;
                                     if idle {
                                         // Uncontended fast path:
@@ -514,9 +513,7 @@ pub(crate) fn io_loop(
                                                 // 503; the connection
                                                 // (and its pipelined
                                                 // neighbours) live on.
-                                                metrics
-                                                    .shed_total
-                                                    .fetch_add(1, Ordering::Relaxed);
+                                                metrics.shed_total.fetch_add(1, Ordering::Relaxed);
                                                 let mut resp = overload_response(
                                                     "dispatch queue full; the request was shed — retry with backoff",
                                                 );

@@ -261,6 +261,9 @@ mod tests {
         q.close();
         let (seen, sizes) = batcher.join().unwrap();
         assert_eq!(seen, (0..32).collect::<Vec<_>>(), "lossless and in order");
-        assert!(sizes.iter().all(|&s| (1..=4).contains(&s)), "1 ≤ batch ≤ max");
+        assert!(
+            sizes.iter().all(|&s| (1..=4).contains(&s)),
+            "1 ≤ batch ≤ max"
+        );
     }
 }

@@ -141,19 +141,13 @@ pub(crate) fn reload(engine: &RoutingEngine, model_path: Option<&Path>) -> Respo
         Err(e) => {
             return Response::json(
                 500,
-                protocol_error_body(
-                    "reload_io",
-                    &format!("reading {}: {e}", path.display()),
-                ),
+                protocol_error_body("reload_io", &format!("reading {}: {e}", path.display())),
             )
         }
     };
     match engine.swap_model_bytes(&bytes) {
         Ok(epoch) => Response::json(200, format!("{{\"ok\":true,\"epoch\":{epoch}}}")),
-        Err(e) => Response::json(
-            422,
-            protocol_error_body("bad_snapshot", &e.to_string()),
-        ),
+        Err(e) => Response::json(422, protocol_error_body("bad_snapshot", &e.to_string())),
     }
 }
 
@@ -221,10 +215,7 @@ fn parse_route_batch(body: &[u8]) -> Result<EngineWork, Response> {
     {
         return Err(Response::json(
             400,
-            protocol_error_body(
-                "bad_request",
-                "\"parallelism\" must be an unsigned integer",
-            ),
+            protocol_error_body("bad_request", "\"parallelism\" must be an unsigned integer"),
         ));
     }
     let mut queries: Vec<Query> = Vec::with_capacity(raw_queries.len());

@@ -336,17 +336,20 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse(
-            "POST /route HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nabcd",
-        )
-        .unwrap();
+        let req =
+            parse("POST /route HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nabcd")
+                .unwrap();
         assert_eq!(req.body, b"abcd");
         assert!(req.wants_close());
     }
 
     #[test]
     fn rejects_gibberish_with_400() {
-        for raw in ["NOT A REQUEST\r\n\r\n", "GET\r\n\r\n", "GET / HTTP/2\r\n\r\n"] {
+        for raw in [
+            "NOT A REQUEST\r\n\r\n",
+            "GET\r\n\r\n",
+            "GET / HTTP/2\r\n\r\n",
+        ] {
             let err = parse(raw).unwrap_err();
             assert_eq!(err.status(), 400, "{raw:?} -> {err:?}");
         }
@@ -381,9 +384,15 @@ mod tests {
 
     #[test]
     fn oversized_declarations_are_bounded() {
-        let huge_body = format!("POST /route HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 30);
+        let huge_body = format!(
+            "POST /route HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            1 << 30
+        );
         assert_eq!(parse(&huge_body).unwrap_err().status(), 413);
-        let huge_head = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
+        let huge_head = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
         assert_eq!(parse(&huge_head).unwrap_err().status(), 431);
     }
 

@@ -323,8 +323,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let combined =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(combined)
                             } else {
                                 char::from_u32(hi)
@@ -397,12 +396,10 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| ParseError {
-                at: start,
-                msg: "invalid number",
-            })
+        text.parse::<f64>().map(Json::Num).map_err(|_| ParseError {
+            at: start,
+            msg: "invalid number",
+        })
     }
 }
 
@@ -588,8 +585,16 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"unterminated",
-            "{\"a\":1} trailing", "nan", "[1 2]",
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "{\"a\":1} trailing",
+            "nan",
+            "[1 2]",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -655,7 +660,10 @@ mod tests {
         // ...semantic violations do not (the engine owns those).
         let semantic =
             query_from_json(&parse(r#"{"source":0,"target":0,"budget_s":-5.0}"#).unwrap());
-        assert!(semantic.is_ok(), "negative budget is the engine's 422, not a 400");
+        assert!(
+            semantic.is_ok(),
+            "negative budget is the engine's 422, not a 400"
+        );
     }
 
     #[test]

@@ -62,8 +62,10 @@ impl LatencyHistogram {
             .position(|&le| secs <= le)
             .unwrap_or(LATENCY_BUCKETS_S.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns
-            .fetch_add(elapsed.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+        self.sum_ns.fetch_add(
+            elapsed.as_nanos().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed,
+        );
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -253,7 +255,8 @@ impl ServeMetrics {
     /// page is retried (rebuilt) if a request completed mid-render —
     /// the count/histogram pair is always coherent.
     pub fn render_prometheus(&self, engine: &StatsSnapshot, queue_depth: usize) -> String {
-        self.coherence.read(|| self.render_page(engine, queue_depth))
+        self.coherence
+            .read(|| self.render_page(engine, queue_depth))
     }
 
     fn render_page(&self, engine: &StatsSnapshot, queue_depth: usize) -> String {

@@ -110,7 +110,10 @@ impl Client {
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad status line: {line:?}"))
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad status line: {line:?}"),
+                )
             })?;
         let mut len = 0;
         loop {

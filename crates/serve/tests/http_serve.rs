@@ -133,10 +133,20 @@ fn assert_served_identical(doc: &Json, reference: &srt_core::routing::RouteResul
     match (&reference.path, doc.get("path")) {
         (None, Some(Json::Null)) => {}
         (Some(p), Some(served)) => {
-            let nodes: Vec<u64> = served.get("nodes").and_then(|n| n.as_arr()).unwrap()
-                .iter().map(|n| n.as_u64().unwrap()).collect();
-            let edges: Vec<u64> = served.get("edges").and_then(|e| e.as_arr()).unwrap()
-                .iter().map(|e| e.as_u64().unwrap()).collect();
+            let nodes: Vec<u64> = served
+                .get("nodes")
+                .and_then(|n| n.as_arr())
+                .unwrap()
+                .iter()
+                .map(|n| n.as_u64().unwrap())
+                .collect();
+            let edges: Vec<u64> = served
+                .get("edges")
+                .and_then(|e| e.as_arr())
+                .unwrap()
+                .iter()
+                .map(|e| e.as_u64().unwrap())
+                .collect();
             let want_nodes: Vec<u64> = p.nodes.iter().map(|n| n.0 as u64).collect();
             let want_edges: Vec<u64> = p.edges.iter().map(|e| e.0 as u64).collect();
             assert_eq!(nodes, want_nodes, "{what}: path nodes differ");
@@ -165,8 +175,16 @@ fn assert_served_identical(doc: &Json, reference: &srt_core::routing::RouteResul
     }
     let stats = doc.get("stats").unwrap();
     let counter = |name: &str| stats.get(name).and_then(|v| v.as_u64()).unwrap();
-    assert_eq!(counter("labels_created"), reference.stats.labels_created as u64, "{what}");
-    assert_eq!(counter("labels_expanded"), reference.stats.labels_expanded as u64, "{what}");
+    assert_eq!(
+        counter("labels_created"),
+        reference.stats.labels_created as u64,
+        "{what}"
+    );
+    assert_eq!(
+        counter("labels_expanded"),
+        reference.stats.labels_expanded as u64,
+        "{what}"
+    );
     assert_eq!(
         stats.get("completed").and_then(|v| v.as_bool()).unwrap(),
         reference.stats.completed,
@@ -230,7 +248,9 @@ fn served_routes_are_bitwise_identical_to_the_engine() {
     let mut conn = Client::connect(server.local_addr()).unwrap();
     for (i, q) in workload(0xA11CE, 10).iter().enumerate() {
         let reference = engine.route(q).expect("workload queries are valid");
-        let resp = conn.request("POST", "/route", Some(&query_body(q))).unwrap();
+        let resp = conn
+            .request("POST", "/route", Some(&query_body(q)))
+            .unwrap();
         assert_eq!(resp.status, 200, "query {i}: {}", resp.text());
         let doc = json::parse(&resp.text()).expect("response is valid JSON");
         assert_served_identical(&doc, &reference, &format!("query {i}"));
@@ -248,7 +268,12 @@ fn batch_over_http_matches_sequential_routes() {
     // `"parallelism"` is still accepted but chooses nothing: absent, 1
     // and 8 are the same request.
     let mut bodies_served = Vec::new();
-    for parallelism in ["", ",\"parallelism\":4", ",\"parallelism\":1", ",\"parallelism\":8"] {
+    for parallelism in [
+        "",
+        ",\"parallelism\":4",
+        ",\"parallelism\":1",
+        ",\"parallelism\":8",
+    ] {
         let body = format!("{{{members}{parallelism}}}");
         let resp = request_once(server.local_addr(), "POST", "/route_batch", Some(&body)).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.text());
@@ -293,16 +318,17 @@ fn protocol_and_semantic_failures_map_to_distinct_statuses() {
     assert!(resp.text().contains("target"), "{}", resp.text());
 
     // Well-formed but semantically impossible: 422 with the typed kind.
-    let out_of_range = format!(
-        "{{\"source\":{num_nodes},\"target\":0,\"budget_s\":100.0}}"
-    );
+    let out_of_range = format!("{{\"source\":{num_nodes},\"target\":0,\"budget_s\":100.0}}");
     let resp = request_once(addr, "POST", "/route", Some(&out_of_range)).unwrap();
     assert_eq!(resp.status, 422, "{}", resp.text());
     let doc = json::parse(&resp.text()).unwrap();
     let err = doc.get("error").unwrap();
     assert_eq!(err.get("kind").unwrap().as_str(), Some("node_out_of_range"));
     assert_eq!(err.get("node").unwrap().as_u64(), Some(num_nodes as u64));
-    assert_eq!(err.get("num_nodes").unwrap().as_u64(), Some(num_nodes as u64));
+    assert_eq!(
+        err.get("num_nodes").unwrap().as_u64(),
+        Some(num_nodes as u64)
+    );
 
     // The negative-budget validation gap this PR closed, observed on
     // the wire: 422 invalid_budget, not a silent degenerate 200.
@@ -362,13 +388,16 @@ fn panicking_query_in_a_batch_is_isolated_on_the_wire() {
             .build(),
     );
     let healthy = shared_engine();
-    let server = Server::start(Arc::clone(&rigged), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind");
+    let server =
+        Server::start(Arc::clone(&rigged), "127.0.0.1:0", ServerConfig::default()).expect("bind");
 
     let body = format!("{{{},\"parallelism\":2}}", batch_members(&queries));
     let mut conn = Client::connect(server.local_addr()).unwrap();
     let resp = conn.request("POST", "/route_batch", Some(&body)).unwrap();
-    assert_eq!(resp.status, 200, "a contained panic must not fail the batch");
+    assert_eq!(
+        resp.status, 200,
+        "a contained panic must not fail the batch"
+    );
     let doc = json::parse(&resp.text()).unwrap();
     let results = doc.get("results").and_then(|r| r.as_arr()).unwrap();
     assert_eq!(results.len(), queries.len());
@@ -406,7 +435,10 @@ fn panicking_query_in_a_batch_is_isolated_on_the_wire() {
         .and_then(|l| l.rsplit(' ').next())
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap();
-    assert!(panics >= 2, "both contained panics are counted, got {panics}");
+    assert!(
+        panics >= 2,
+        "both contained panics are counted, got {panics}"
+    );
     server.shutdown();
 }
 
@@ -422,9 +454,7 @@ fn graceful_shutdown_drains_admitted_connections_losslessly() {
     let queries = workload(0xD1A1, 4);
 
     // In-flight sessions started before the drain begins.
-    let clients: Vec<_> = (0..4)
-        .map(|_| Client::connect(addr).unwrap())
-        .collect();
+    let clients: Vec<_> = (0..4).map(|_| Client::connect(addr).unwrap()).collect();
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().accepted_total.load(Ordering::Relaxed) < 4 {
         assert!(Instant::now() < deadline, "connections never admitted");
@@ -460,10 +490,12 @@ fn graceful_shutdown_drains_admitted_connections_losslessly() {
     assert!(report.connections_served >= 4);
 
     // The listener is really gone.
-    assert!(Client::connect(addr).is_err() || {
-        // A TIME_WAIT race can accept then reset; a request must fail.
-        request_once(addr, "GET", "/healthz", None).is_err()
-    });
+    assert!(
+        Client::connect(addr).is_err() || {
+            // A TIME_WAIT race can accept then reset; a request must fail.
+            request_once(addr, "GET", "/healthz", None).is_err()
+        }
+    );
 }
 
 #[test]
@@ -510,7 +542,9 @@ fn reload_publishes_a_new_epoch_and_rejects_corrupt_snapshots() {
     // The snapshot round-trips the identical model, so answers on the
     // new epoch are bitwise-identical to the old ones.
     for (i, (q, reference)) in queries.iter().zip(&before).enumerate() {
-        let resp = conn.request("POST", "/route", Some(&query_body(q))).unwrap();
+        let resp = conn
+            .request("POST", "/route", Some(&query_body(q)))
+            .unwrap();
         assert_eq!(resp.status, 200, "post-swap query {i}");
         let doc = json::parse(&resp.text()).unwrap();
         assert_served_identical(&doc, reference, &format!("post-swap query {i}"));
@@ -629,13 +663,19 @@ fn batched_routes_are_bitwise_identical_under_concurrency() {
                     let queries = workload(0xBA7 + c, 12);
                     for (i, q) in queries.iter().enumerate() {
                         let reference = engine.route(q).expect("workload queries are valid");
-                        let resp = conn.request("POST", "/route", Some(&query_body(q))).unwrap();
+                        let resp = conn
+                            .request("POST", "/route", Some(&query_body(q)))
+                            .unwrap();
                         assert_eq!(resp.status, 200, "client {c} query {i}: {}", resp.text());
                         let doc = json::parse(&resp.text()).unwrap();
                         assert_served_identical(&doc, &reference, &format!("client {c} query {i}"));
                     }
                     let resp = conn
-                        .request("POST", "/route_batch", Some(&format!("{{{}}}", batch_members(&queries[..6]))))
+                        .request(
+                            "POST",
+                            "/route_batch",
+                            Some(&format!("{{{}}}", batch_members(&queries[..6]))),
+                        )
                         .unwrap();
                     assert_eq!(resp.status, 200, "{}", resp.text());
                     let doc = json::parse(&resp.text()).unwrap();
@@ -643,7 +683,11 @@ fn batched_routes_are_bitwise_identical_under_concurrency() {
                     assert_eq!(results.len(), 6);
                     for (i, (served, q)) in results.iter().zip(&queries).enumerate() {
                         let reference = engine.route(q).unwrap();
-                        assert_served_identical(served, &reference, &format!("client {c} batch[{i}]"));
+                        assert_served_identical(
+                            served,
+                            &reference,
+                            &format!("client {c} batch[{i}]"),
+                        );
                     }
                 })
             })
@@ -700,9 +744,9 @@ fn pipelined_requests_are_answered_in_request_order() {
         conn.send_raw(&burst).unwrap();
         let statuses: Vec<u16> = (0..6)
             .map(|i| {
-                let resp = conn.read_response().unwrap_or_else(|e| {
-                    panic!("pipelined response {i} never arrived: {e}")
-                });
+                let resp = conn
+                    .read_response()
+                    .unwrap_or_else(|e| panic!("pipelined response {i} never arrived: {e}"));
                 if [0, 2, 4].contains(&i) {
                     let doc = json::parse(&resp.text()).unwrap();
                     assert_served_identical(
@@ -921,10 +965,7 @@ fn graceful_drain_answers_every_admitted_pipelined_request() {
     // its admission. Nothing may be silently dropped.
     assert_eq!(statuses.len(), 16);
     for (i, s) in statuses.iter().enumerate() {
-        assert!(
-            *s == 200 || *s == 503,
-            "request {i}: unexpected status {s}"
-        );
+        assert!(*s == 200 || *s == 503, "request {i}: unexpected status {s}");
     }
     assert_eq!(report.in_flight_after_drain, 0);
 }

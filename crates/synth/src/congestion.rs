@@ -265,11 +265,7 @@ mod tests {
             let n = samples.len() as f64;
             let m1 = samples.iter().map(|s| s.0).sum::<f64>() / n;
             let m2 = samples.iter().map(|s| s.1).sum::<f64>() / n;
-            let cov = samples
-                .iter()
-                .map(|s| (s.0 - m1) * (s.1 - m2))
-                .sum::<f64>()
-                / n;
+            let cov = samples.iter().map(|s| (s.0 - m1) * (s.1 - m2)).sum::<f64>() / n;
             let v1 = samples.iter().map(|s| (s.0 - m1).powi(2)).sum::<f64>() / n;
             let v2 = samples.iter().map(|s| (s.1 - m2).powi(2)).sum::<f64>() / n;
             cov / (v1 * v2).sqrt()

@@ -145,7 +145,13 @@ impl GroundTruth {
     }
 
     /// Ground-truth distribution of `t1 + t2` over the pair `e1 -> e2`.
-    pub fn pair_sum(&self, g: &RoadGraph, model: &CongestionModel, e1: EdgeId, e2: EdgeId) -> Histogram {
+    pub fn pair_sum(
+        &self,
+        g: &RoadGraph,
+        model: &CongestionModel,
+        e1: EdgeId,
+        e2: EdgeId,
+    ) -> Histogram {
         let mut rng = stream(self.cfg.seed, e1.0, e2.0);
         let samples: Vec<f64> = (0..self.cfg.samples_per_pair)
             .map(|_| {

@@ -130,7 +130,10 @@ pub fn generate_network(cfg: &NetworkConfig) -> RoadGraph {
 }
 
 fn generate_grid(cfg: &NetworkConfig) -> RoadGraph {
-    assert!(cfg.width >= 2 && cfg.height >= 2, "grid must be at least 2x2");
+    assert!(
+        cfg.width >= 2 && cfg.height >= 2,
+        "grid must be at least 2x2"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n_nodes = cfg.width * cfg.height;
     let mut b = GraphBuilder::with_capacity(n_nodes, n_nodes * 4);
@@ -153,11 +156,11 @@ fn generate_grid(cfg: &NetworkConfig) -> RoadGraph {
     let at = |x: usize, y: usize| y * cfg.width + x;
 
     let add_segment = |b: &mut GraphBuilder,
-                           rng: &mut StdRng,
-                           ai: usize,
-                           ci: usize,
-                           arterial: bool,
-                           ring: bool| {
+                       rng: &mut StdRng,
+                       ai: usize,
+                       ci: usize,
+                       arterial: bool,
+                       ring: bool| {
         if !ring && !arterial && rng.gen::<f64>() < cfg.thinning {
             return;
         }
@@ -187,11 +190,25 @@ fn generate_grid(cfg: &NetworkConfig) -> RoadGraph {
             let on_ring_col = x == 0 || x == cfg.width - 1;
             if x + 1 < cfg.width {
                 let arterial = y % cfg.arterial_every == 0;
-                add_segment(&mut b, &mut rng, at(x, y), at(x + 1, y), arterial, on_ring_row);
+                add_segment(
+                    &mut b,
+                    &mut rng,
+                    at(x, y),
+                    at(x + 1, y),
+                    arterial,
+                    on_ring_row,
+                );
             }
             if y + 1 < cfg.height {
                 let arterial = x % cfg.arterial_every == 0;
-                add_segment(&mut b, &mut rng, at(x, y), at(x, y + 1), arterial, on_ring_col);
+                add_segment(
+                    &mut b,
+                    &mut rng,
+                    at(x, y),
+                    at(x, y + 1),
+                    arterial,
+                    on_ring_col,
+                );
             }
         }
     }
@@ -241,14 +258,18 @@ fn generate_hub_and_spoke(
     };
     let mut points: Vec<Point> = Vec::with_capacity(n_nodes);
     let connect = |b: &mut GraphBuilder,
-                       rng: &mut StdRng,
-                       points: &[Point],
-                       a: NodeId,
-                       c: NodeId,
-                       category: RoadCategory| {
+                   rng: &mut StdRng,
+                   points: &[Point],
+                   a: NodeId,
+                   c: NodeId,
+                   category: RoadCategory| {
         let geo = points[a.index()].haversine_m(&points[c.index()]).max(30.0);
         let curviness = 1.0 + rng.gen::<f64>() * 0.15;
-        b.add_bidirectional(a, c, EdgeAttrs::with_default_speed(geo * curviness, category));
+        b.add_bidirectional(
+            a,
+            c,
+            EdgeAttrs::with_default_speed(geo * curviness, category),
+        );
     };
 
     // Hubs first, then the spoke chains; tips collected in angular order
@@ -289,7 +310,14 @@ fn generate_hub_and_spoke(
     for i in 0..hubs {
         let j = (i + 1) % hubs;
         if j > i || hubs > 2 {
-            connect(&mut b, &mut rng, &points, hub_ids[i], hub_ids[j], RoadCategory::Motorway);
+            connect(
+                &mut b,
+                &mut rng,
+                &points,
+                hub_ids[i],
+                hub_ids[j],
+                RoadCategory::Motorway,
+            );
         }
     }
     // Secondary orbital along the rim; thinnable (the skeleton survives).
@@ -298,7 +326,14 @@ fn generate_hub_and_spoke(
         for i in 0..n_tips {
             let j = (i + 1) % n_tips;
             if (j > i || n_tips > 2) && rng.gen::<f64>() >= cfg.thinning {
-                connect(&mut b, &mut rng, &points, tips[i], tips[j], RoadCategory::Secondary);
+                connect(
+                    &mut b,
+                    &mut rng,
+                    &points,
+                    tips[i],
+                    tips[j],
+                    RoadCategory::Secondary,
+                );
             }
         }
     }
@@ -374,7 +409,10 @@ mod tests {
         }
         assert!(seen[RoadCategory::Motorway.as_index()], "no motorway ring");
         assert!(seen[RoadCategory::Primary.as_index()], "no arterials");
-        assert!(seen[RoadCategory::Residential.as_index()], "no local streets");
+        assert!(
+            seen[RoadCategory::Residential.as_index()],
+            "no local streets"
+        );
     }
 
     #[test]
@@ -491,7 +529,11 @@ mod tests {
             .node_ids()
             .filter(|&v| g.out_edges(v).count() == 3)
             .collect();
-        assert_eq!(tips.len(), 4 * 2, "orbital missing: tips lack their rim edges");
+        assert_eq!(
+            tips.len(),
+            4 * 2,
+            "orbital missing: tips lack their rim edges"
+        );
         let sp = dijkstra(&g, tips[0], None, w);
         let closest_other_tip = tips[1..]
             .iter()

@@ -193,8 +193,8 @@ mod tests {
         let queries = qg.generate(&g, &m, DistanceCategory::OneToFive, 15);
         let weight = |e: EdgeId| m.expected_edge_time(&g, e);
         for q in &queries {
-            let exp = srt_graph::algo::dijkstra(&g, q.source, Some(q.target), weight)
-                .distance(q.target);
+            let exp =
+                srt_graph::algo::dijkstra(&g, q.source, Some(q.target), weight).distance(q.target);
             assert!(q.budget_s >= exp * 0.9 - 1e-9);
             assert!(q.budget_s <= exp * 1.15 + 1e-9);
         }

@@ -27,8 +27,14 @@ fn main() {
     let (model, report) = train_hybrid(&world, &training).expect("training succeeds");
 
     println!("training protocol (paper: 4000 train / 1000 test pairs, here scaled down):");
-    println!("  trained on {} pairs, evaluated on {}", report.n_train, report.n_test);
-    println!("  dependent pairs: {:.0}%", report.dependent_fraction * 100.0);
+    println!(
+        "  trained on {} pairs, evaluated on {}",
+        report.n_train, report.n_test
+    );
+    println!(
+        "  dependent pairs: {:.0}%",
+        report.dependent_fraction * 100.0
+    );
     println!();
     println!("held-out KL divergence to ground truth (lower is better):");
     println!(
@@ -54,7 +60,9 @@ fn main() {
     let (e1, e2) = pairs[pairs.len() / 2];
     let m1 = world.ground_truth.marginal(e1);
     let m2 = world.ground_truth.marginal(e2);
-    let truth = world.ground_truth.pair_sum(&world.graph, &world.model, e1, e2);
+    let truth = world
+        .ground_truth
+        .pair_sum(&world.graph, &world.model, e1, e2);
     let conv = convolve(m1, m2);
     let features = pair_features(&world.graph, m1, e1, e2, m2);
     let est = model.estimate(m1, m2, &features);
@@ -62,8 +70,14 @@ fn main() {
 
     println!("one pair dissected: {e1} -> {e2}");
     println!("  P(dependent) according to the gate: {p_dep:.3}");
-    println!("  KL(truth || convolution) = {:.4}", kl_divergence(&truth, &conv));
-    println!("  KL(truth || estimation)  = {:.4}", kl_divergence(&truth, &est));
+    println!(
+        "  KL(truth || convolution) = {:.4}",
+        kl_divergence(&truth, &conv)
+    );
+    println!(
+        "  KL(truth || estimation)  = {:.4}",
+        kl_divergence(&truth, &est)
+    );
     println!();
     println!("most informative features for this pair:");
     for (name, value) in FEATURE_NAMES.iter().zip(features.iter()).take(10) {
@@ -86,8 +100,8 @@ fn main() {
 
     // Train once, ship the model: binary snapshot round trip.
     let snapshot = stochastic_routing::core::model::io::to_bytes(&model);
-    let restored = stochastic_routing::core::model::io::from_bytes(&snapshot)
-        .expect("snapshot round-trips");
+    let restored =
+        stochastic_routing::core::model::io::from_bytes(&snapshot).expect("snapshot round-trips");
     assert_eq!(restored.bins, model.bins);
     println!(
         "model snapshot: {} KiB, round-trips losslessly (bins = {})",

@@ -65,7 +65,9 @@ fn main() {
             scc.len(),
             g.num_nodes(),
             bounds.num_reachable(),
-            bounds.remaining(stochastic_routing::graph::NodeId((g.num_nodes() - 1) as u32))
+            bounds.remaining(stochastic_routing::graph::NodeId(
+                (g.num_nodes() - 1) as u32
+            ))
         );
         println!();
     }

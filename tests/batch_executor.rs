@@ -66,7 +66,10 @@ fn assert_identical(a: &RouteResult, b: &RouteResult, what: &str) {
     let path_a = a.path.as_ref().map(|p| (&p.nodes, &p.edges));
     let path_b = b.path.as_ref().map(|p| (&p.nodes, &p.edges));
     assert_eq!(path_a, path_b, "{what}: path differs");
-    assert_eq!(a.distribution, b.distribution, "{what}: distribution differs");
+    assert_eq!(
+        a.distribution, b.distribution,
+        "{what}: distribution differs"
+    );
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! End-to-end integration: synthetic world -> hybrid training -> routing,
 //! across all crates through the facade.
 
+use std::sync::Arc;
+use std::time::Duration;
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::baseline::ExpectedTimeBaseline;
 use stochastic_routing::core::routing::{
@@ -9,8 +11,6 @@ use stochastic_routing::core::routing::{
 use stochastic_routing::core::{CombinePolicy, HybridCost};
 use stochastic_routing::ml::forest::ForestConfig;
 use stochastic_routing::synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};
-use std::sync::Arc;
-use std::time::Duration;
 
 fn tiny_training() -> TrainingConfig {
     TrainingConfig {
@@ -79,7 +79,9 @@ fn anytime_is_monotone_in_the_limit() {
     let world = SyntheticWorld::build(WorldConfig::tiny());
     let (model, _) = train_hybrid(&world, &tiny_training()).expect("training succeeds");
     let cost = HybridCost::from_ground_truth(&world, &model, CombinePolicy::Hybrid);
-    let engine = EngineBuilder::new(cost).config(RouterConfig::default()).build();
+    let engine = EngineBuilder::new(cost)
+        .config(RouterConfig::default())
+        .build();
     let mut qg = QueryGenerator::new(5);
     let queries = qg.generate(&world.graph, &world.model, DistanceCategory::OneToFive, 3);
 

@@ -90,16 +90,39 @@ fn assert_identical(a: &RouteResult, b: &RouteResult, what: &str) {
     let path_a = a.path.as_ref().map(|p| (&p.nodes, &p.edges));
     let path_b = b.path.as_ref().map(|p| (&p.nodes, &p.edges));
     assert_eq!(path_a, path_b, "{what}: path differs");
-    assert_eq!(a.distribution, b.distribution, "{what}: distribution differs");
+    assert_eq!(
+        a.distribution, b.distribution,
+        "{what}: distribution differs"
+    );
     let (sa, sb) = (a.stats, b.stats);
     assert_eq!(
-        (sa.labels_created, sa.labels_expanded, sa.pruned_bound, sa.pruned_infeasible),
-        (sb.labels_created, sb.labels_expanded, sb.pruned_bound, sb.pruned_infeasible),
+        (
+            sa.labels_created,
+            sa.labels_expanded,
+            sa.pruned_bound,
+            sa.pruned_infeasible
+        ),
+        (
+            sb.labels_created,
+            sb.labels_expanded,
+            sb.pruned_bound,
+            sb.pruned_infeasible
+        ),
         "{what}: work counters differ"
     );
     assert_eq!(
-        (sa.pruned_dominance, sa.dominance_retired, sa.pareto_compactions, sa.completed),
-        (sb.pruned_dominance, sb.dominance_retired, sb.pareto_compactions, sb.completed),
+        (
+            sa.pruned_dominance,
+            sa.dominance_retired,
+            sa.pareto_compactions,
+            sa.completed
+        ),
+        (
+            sb.pruned_dominance,
+            sb.dominance_retired,
+            sb.pareto_compactions,
+            sb.completed
+        ),
         "{what}: dominance counters differ"
     );
 }
@@ -114,7 +137,11 @@ fn sequential(cost: &HybridCost, queries: &[Query]) -> Vec<RouteResult> {
     let mut ctx = SearchContext::new();
     queries
         .iter()
-        .map(|q| engine.route_with(q, &mut ctx).expect("reference queries are valid"))
+        .map(|q| {
+            engine
+                .route_with(q, &mut ctx)
+                .expect("reference queries are valid")
+        })
         .collect()
 }
 
@@ -244,7 +271,10 @@ fn warm_bounds_cache_counts_hits_and_preserves_answers() {
     // Warm pass: all hits, bitwise-identical answers.
     let warm = execute(&engine, &queries, 1);
     let s2 = engine.stats();
-    assert_eq!(s2.bounds_cache_misses, s1.bounds_cache_misses, "warm pass recomputed bounds");
+    assert_eq!(
+        s2.bounds_cache_misses, s1.bounds_cache_misses,
+        "warm pass recomputed bounds"
+    );
     assert_eq!(
         s2.bounds_cache_hits,
         s1.bounds_cache_hits + queries.len() as u64
@@ -411,7 +441,11 @@ fn shared_lattice_fast_path_fires_and_preserves_routes() {
     let queries = workload(6);
     for (i, (q, expected)) in queries.iter().zip(sequential(&cost, &queries)).enumerate() {
         let got = engine.route(q).expect("workload queries are valid");
-        assert_identical(&got, &expected, &format!("query {i} on the snapped lattice"));
+        assert_identical(
+            &got,
+            &expected,
+            &format!("query {i} on the snapped lattice"),
+        );
     }
     assert!(
         engine.stats().lattice_fast_path > 0,
@@ -439,7 +473,10 @@ fn constant_time_edge_is_routed_across() {
         .filter_map(|q| Some((q, free.route(&q).ok()?.path?.edges)))
         .max_by_key(|(_, edges)| edges.len())
         .expect("the workload is routable");
-    assert!(edges.len() >= 3, "fixture routes are too short to cross an edge");
+    assert!(
+        edges.len() >= 3,
+        "fixture routes are too short to cross an edge"
+    );
     let frozen = edges[edges.len() / 2];
 
     let marginals: Vec<Histogram> = world
@@ -448,7 +485,8 @@ fn constant_time_edge_is_routed_across() {
         .map(|e| {
             let m = world.ground_truth.marginal(e);
             if e == frozen {
-                empirical::from_samples(&[m.mean(); 50], m.num_bins()).expect("constant samples fit")
+                empirical::from_samples(&[m.mean(); 50], m.num_bins())
+                    .expect("constant samples fit")
             } else {
                 m.clone()
             }
@@ -464,7 +502,10 @@ fn constant_time_edge_is_routed_across() {
         assert_identical(&got, &expected, &format!("{policy:?} across a frozen edge"));
         assert!(got.stats.completed);
         let path = got.path.expect("still routable");
-        assert!(path.edges.contains(&frozen), "{policy:?}: route avoids the frozen edge");
+        assert!(
+            path.edges.contains(&frozen),
+            "{policy:?}: route avoids the frozen edge"
+        );
     }
 }
 
@@ -505,8 +546,14 @@ fn source_equals_target_answers_one_at_every_budget() {
         let r = engine
             .route(&Query::new(s, s, budget))
             .expect("finite non-negative budgets are valid");
-        let o = oracle.route(s, s, budget, 1000).expect("trivial query fits the cap");
-        assert_eq!(r.probability.to_bits(), o.probability.to_bits(), "budget {budget}");
+        let o = oracle
+            .route(s, s, budget, 1000)
+            .expect("trivial query fits the cap");
+        assert_eq!(
+            r.probability.to_bits(),
+            o.probability.to_bits(),
+            "budget {budget}"
+        );
         assert_eq!(r.probability, 1.0, "budget {budget}");
         assert!(r.stats.completed);
         assert!(r.path.expect("empty path").is_empty(), "budget {budget}");
@@ -586,7 +633,10 @@ fn panicking_query_is_contained_and_engine_stays_serviceable() {
     );
     // The error renders for operators.
     let msg = EngineError::Internal.to_string();
-    assert!(msg.contains("panicked"), "unhelpful Internal display: {msg}");
+    assert!(
+        msg.contains("panicked"),
+        "unhelpful Internal display: {msg}"
+    );
 }
 
 #[test]
@@ -750,7 +800,10 @@ fn contended_bounds_cache_never_overshoots_capacity_or_changes_answers() {
     // Insert and trim happen under one write-lock hold, so not even a
     // mid-flight read can catch the cache past its bound.
     let peak = observer.join().unwrap();
-    assert!(peak <= 2, "observer saw {peak} cached targets in a capacity-2 cache");
+    assert!(
+        peak <= 2,
+        "observer saw {peak} cached targets in a capacity-2 cache"
+    );
     assert!(
         engine.stats().bounds_evictions > 0,
         "workload never exercised eviction"
@@ -766,7 +819,9 @@ fn generous_deadline_answers_identically_to_no_deadline() {
     // A 60 s deadline never fires on a tiny world: the search completes
     // and the answer is the unbounded one, bit for bit.
     let unbounded = engine.route(&q).unwrap();
-    let deadlined = engine.route(&q.with_deadline(Duration::from_secs(60))).unwrap();
+    let deadlined = engine
+        .route(&q.with_deadline(Duration::from_secs(60)))
+        .unwrap();
     assert!(unbounded.stats.completed && deadlined.stats.completed);
     assert_identical(&deadlined, &unbounded, "60 s deadline vs none");
 }

@@ -86,8 +86,15 @@ fn identical(a: &RouteResult, b: &RouteResult) -> bool {
         && a.path.as_ref().map(|p| (&p.nodes, &p.edges))
             == b.path.as_ref().map(|p| (&p.nodes, &p.edges))
         && a.distribution == b.distribution
-        && (a.stats.labels_created, a.stats.labels_expanded, a.stats.completed)
-            == (b.stats.labels_created, b.stats.labels_expanded, b.stats.completed)
+        && (
+            a.stats.labels_created,
+            a.stats.labels_expanded,
+            a.stats.completed,
+        ) == (
+            b.stats.labels_created,
+            b.stats.labels_expanded,
+            b.stats.completed,
+        )
 }
 
 fn assert_identical(a: &RouteResult, b: &RouteResult, what: &str) {
@@ -119,24 +126,42 @@ fn swapped_engine_is_bitwise_identical_to_a_fresh_one() {
     assert_eq!(engine.epoch(), 0);
     // Warm the epoch-0 bounds cache so the swap has stale state to shed.
     for (i, q) in queries.iter().enumerate() {
-        assert_identical(&engine.route(q).unwrap(), &ref_a[i], &format!("pre-swap {i}"));
+        assert_identical(
+            &engine.route(q).unwrap(),
+            &ref_a[i],
+            &format!("pre-swap {i}"),
+        );
     }
     assert!(engine.bounds_cached() > 0);
 
-    let epoch = engine.swap_model(model_b.clone()).expect("valid model swaps");
+    let epoch = engine
+        .swap_model(model_b.clone())
+        .expect("valid model swaps");
     assert_eq!(epoch, 1);
     assert_eq!(engine.epoch(), 1);
     // The per-target bounds cache died with epoch 0: nothing computed
     // under model A may bound model B's searches.
-    assert_eq!(engine.bounds_cached(), 0, "stale bounds leaked across the swap");
+    assert_eq!(
+        engine.bounds_cached(),
+        0,
+        "stale bounds leaked across the swap"
+    );
     for (i, q) in queries.iter().enumerate() {
-        assert_identical(&engine.route(q).unwrap(), &ref_b[i], &format!("post-swap {i}"));
+        assert_identical(
+            &engine.route(q).unwrap(),
+            &ref_b[i],
+            &format!("post-swap {i}"),
+        );
     }
 
     // Swapping back restores model A bit-for-bit.
     assert_eq!(engine.swap_model(model_a.clone()), Ok(2));
     for (i, q) in queries.iter().enumerate() {
-        assert_identical(&engine.route(q).unwrap(), &ref_a[i], &format!("swap-back {i}"));
+        assert_identical(
+            &engine.route(q).unwrap(),
+            &ref_a[i],
+            &format!("swap-back {i}"),
+        );
     }
 }
 
@@ -148,7 +173,9 @@ fn swap_from_snapshot_bytes_matches_swap_from_memory() {
 
     let engine = engine_over(model_a);
     let bytes = model_io::to_bytes(model_b);
-    let epoch = engine.swap_model_bytes(&bytes).expect("round-tripped snapshot swaps");
+    let epoch = engine
+        .swap_model_bytes(&bytes)
+        .expect("round-tripped snapshot swaps");
     assert_eq!(epoch, 1);
     for (i, q) in queries.iter().enumerate() {
         assert_identical(
@@ -234,7 +261,11 @@ fn rejected_swaps_leave_the_old_epoch_serving_unchanged() {
     );
     for bad_eps in [f64::NAN, f64::INFINITY, -0.5] {
         let mut bad_cal = model_b.clone();
-        bad_cal.calibration.as_mut().expect("fixture has calibration").margin_eps = bad_eps;
+        bad_cal
+            .calibration
+            .as_mut()
+            .expect("fixture has calibration")
+            .margin_eps = bad_eps;
         assert!(
             matches!(engine.swap_model(bad_cal), Err(SwapError::Calibration(_))),
             "margin_eps {bad_eps} must be rejected"
@@ -242,18 +273,28 @@ fn rejected_swaps_leave_the_old_epoch_serving_unchanged() {
     }
     let mut bad_lip = model_b.clone();
     bad_lip.calibration.as_mut().unwrap().lipschitz = f64::NEG_INFINITY;
-    assert!(matches!(engine.swap_model(bad_lip), Err(SwapError::Calibration(_))));
+    assert!(matches!(
+        engine.swap_model(bad_lip),
+        Err(SwapError::Calibration(_))
+    ));
 
     // Every rejection left epoch 0 serving, bitwise-unchanged.
     assert_eq!(engine.epoch(), 0);
     assert_eq!(engine.stats().epoch, 0);
     for (i, q) in queries.iter().enumerate() {
-        assert_identical(&engine.route(q).unwrap(), &before[i], &format!("post-rejection {i}"));
+        assert_identical(
+            &engine.route(q).unwrap(),
+            &before[i],
+            &format!("post-rejection {i}"),
+        );
     }
 
     // The errors render for operators.
     let msg = engine.swap_model_bytes(truncated).unwrap_err().to_string();
-    assert!(msg.contains("snapshot"), "unhelpful SwapError display: {msg}");
+    assert!(
+        msg.contains("snapshot"),
+        "unhelpful SwapError display: {msg}"
+    );
 }
 
 #[test]
@@ -334,6 +375,9 @@ fn epoch_counter_is_identity_not_traffic() {
     engine.reset_stats();
     let stats = engine.stats();
     assert_eq!(stats.queries, 0);
-    assert_eq!(stats.epoch, 1, "reset_stats must not lie about the serving epoch");
+    assert_eq!(
+        stats.epoch, 1,
+        "reset_stats must not lie about the serving epoch"
+    );
     assert_eq!(engine.epoch(), 1);
 }

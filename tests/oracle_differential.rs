@@ -38,8 +38,8 @@ use stochastic_routing::core::{CombinePolicy, HybridCost, HybridModel};
 use stochastic_routing::graph::NodeId;
 use stochastic_routing::ml::forest::ForestConfig;
 use stochastic_routing::synth::{
-    CongestionConfig, GroundTruthConfig, NetworkConfig, SyntheticWorld, Topology,
-    TrajectoryConfig, WorldConfig,
+    CongestionConfig, GroundTruthConfig, NetworkConfig, SyntheticWorld, Topology, TrajectoryConfig,
+    WorldConfig,
 };
 
 /// Oracle enumeration budget per query; queries whose walk space exceeds
@@ -170,7 +170,9 @@ fn certificate_for(w: usize, combine: CombinePolicy) -> &'static ConvCertificate
             .iter()
             .map(|sc| {
                 [CombinePolicy::Hybrid, CombinePolicy::AlwaysConvolve].map(|p| {
-                    ConvCertificate::compute(&HybridCost::from_ground_truth(&sc.world, &sc.model, p))
+                    ConvCertificate::compute(&HybridCost::from_ground_truth(
+                        &sc.world, &sc.model, p,
+                    ))
                 })
             })
             .collect()
@@ -539,7 +541,11 @@ fn optimistic_drift_witnesses_are_fixed_by_the_envelope_bound() {
                 dst,
                 budget,
             );
-            assert!(r.stats.completed, "{}: {bound:?} hit the label cap", sc.name);
+            assert!(
+                r.stats.completed,
+                "{}: {bound:?} hit the label cap",
+                sc.name
+            );
             r
         };
 

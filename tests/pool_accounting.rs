@@ -183,7 +183,11 @@ fn warm_context_retains_payload_sized_buffers_only() {
     pass(&mut ctx); // first warm pass
     let warm_mints = ctx.pool_stats().mints;
     pass(&mut ctx); // second warm pass
-    assert_eq!(ctx.pool_stats().mints, warm_mints, "second warm pass minted");
+    assert_eq!(
+        ctx.pool_stats().mints,
+        warm_mints,
+        "second warm pass minted"
+    );
 
     let (free, slots) = (ctx.pool().free_buffers(), ctx.pool().retained_slots());
     assert!(free > 0, "a warm context parks its payload buffers");

@@ -9,6 +9,7 @@
 //! same way.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use stochastic_routing::core::model::io as model_io;
 use stochastic_routing::core::model::training::{train_hybrid, TrainingConfig};
 use stochastic_routing::core::routing::{EngineBuilder, Query, RouteResult, RoutingEngine};
@@ -17,7 +18,6 @@ use stochastic_routing::graph::io as graph_io;
 use stochastic_routing::ml::forest::ForestConfig;
 use stochastic_routing::ml::MlError;
 use stochastic_routing::synth::{DistanceCategory, QueryGenerator, SyntheticWorld, WorldConfig};
-use std::sync::OnceLock;
 
 fn world() -> &'static SyntheticWorld {
     static W: OnceLock<SyntheticWorld> = OnceLock::new();
@@ -63,8 +63,12 @@ fn probe_engine() -> (RoutingEngine, Query, &'static RouteResult) {
     let (q, reference) = PROBE.get_or_init(|| {
         let w = world();
         let q = Query::from(
-            &QueryGenerator::new(0x5FA2)
-                .generate(&w.graph, &w.model, DistanceCategory::ZeroToOne, 1)[0],
+            &QueryGenerator::new(0x5FA2).generate(
+                &w.graph,
+                &w.model,
+                DistanceCategory::ZeroToOne,
+                1,
+            )[0],
         );
         let r = EngineBuilder::new(HybridCost::from_ground_truth(
             w,
@@ -189,9 +193,15 @@ fn snapshot_with_gate_tag(gate_tag: u8) -> Vec<u8> {
     m.estimator.write_bytes(&mut buf);
     buf.put_slice(&gate);
     buf.put_u8(1);
-    m.calibration.as_ref().expect("fixture calibrates").write_bytes(&mut buf);
+    m.calibration
+        .as_ref()
+        .expect("fixture calibrates")
+        .write_bytes(&mut buf);
     buf.put_u8(1);
-    m.envelope.as_ref().expect("fixture has an envelope").write_bytes(&mut buf);
+    m.envelope
+        .as_ref()
+        .expect("fixture has an envelope")
+        .write_bytes(&mut buf);
     buf.to_vec()
 }
 
