@@ -64,19 +64,15 @@ impl DependenceClassifier {
         self.use_estimation(features)
     }
 
-    /// Bounds on `P(dependent)` over *every* completion of the unknown
-    /// (`None`) features, from an interval walk of each tree
-    /// ([`srt_ml::forest::RandomForestClassifier::predict_proba_bounds_row`]).
-    fn prob_dependent_bounds(&self, features: &[Option<f64>]) -> (f64, f64) {
-        let (lo, hi) = self.forest.predict_proba_bounds_row(features);
-        (lo[1], hi[1])
-    }
-
     /// `true` when the gate provably answers *convolution* no matter what
-    /// values the unknown features take — the per-pair certificate behind
-    /// the router's convolution-gated dominance pruning.
+    /// values the unknown (`None`) features take — the per-pair
+    /// certificate behind the router's convolution-gated dominance
+    /// pruning. Decided by the forest's interval walk of each tree's
+    /// upper bound on `P(dependent)`, which stops at the first tree that
+    /// settles the answer
+    /// ([`srt_ml::forest::RandomForestClassifier::proba_upper_below`]).
     pub fn certifies_convolution(&self, features: &[Option<f64>]) -> bool {
-        self.prob_dependent_bounds(features).1 < self.threshold
+        self.forest.proba_upper_below(features, 1, self.threshold)
     }
 
     /// Appends the binary snapshot of the gate to `buf`.

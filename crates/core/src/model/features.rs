@@ -153,7 +153,7 @@ pub const PRE_DEPENDENT_FEATURES: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2
 /// The pair feature vector with the pre-distribution treated as unknown:
 /// static road/junction/next-edge features are concrete, every
 /// pre-dependent entry is `None`. This is the input to the classifier's
-/// interval bounds (`DependenceClassifier::prob_dependent_bounds`),
+/// interval bounds (`DependenceClassifier::certifies_convolution`),
 /// which quantify the gate decision over *all* possible path prefixes
 /// ending in `prev_edge`.
 pub fn pair_features_partial(

@@ -44,12 +44,13 @@ pub struct HybridModel {
     /// Bucket budget for combined distributions.
     pub bins: usize,
     /// Measured dominance behaviour of the fitted combine operator
-    /// (`None` for models trained before calibration existed, e.g. v1
-    /// snapshots). Feeds the router's margin-dominance pruning.
+    /// (`None` for models without one, e.g. v3 snapshots with the
+    /// calibration flag at 0). Feeds the router's margin-dominance
+    /// pruning.
     pub calibration: Option<DominanceCalibration>,
     /// Support-mass envelope of the estimator arm (`None` for models
-    /// trained before envelopes existed, e.g. v1/v2 snapshots). Feeds
-    /// the router's certified-envelope pruning bound.
+    /// without one, e.g. v3 snapshots with the envelope flag at 0).
+    /// Feeds the router's certified-envelope pruning bound.
     pub envelope: Option<SupportEnvelope>,
 }
 

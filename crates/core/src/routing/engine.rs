@@ -14,10 +14,11 @@
 //!   that depends only on the cost oracle and the configuration. The
 //!   engine holds the live epoch behind a swappable `Arc`; see *Hot
 //!   swap* below,
-//! * **per target** (the epoch's bounds cache): the reverse Dijkstra
-//!   behind [`OptimisticBounds`] depends only on `(target, cost
-//!   oracle)`, so it is computed once per distinct target and shared
-//!   within its epoch, LRU-bounded at
+//! * **per target** (the engine's bounds cache): the reverse Dijkstra
+//!   behind [`OptimisticBounds`] depends only on `(graph, per-edge
+//!   marginals, target)` — never on the model, and every epoch of one
+//!   engine shares the graph and the marginals — so it is computed once
+//!   per distinct target and shared across epochs, LRU-bounded at
 //!   [`EngineBuilder::bounds_cache_capacity`] —
 //!   [`StatsSnapshot::bounds_cache_hits`] /
 //!   [`StatsSnapshot::bounds_cache_misses`] /
@@ -122,14 +123,20 @@
 //! [`RoutingEngine::swap_model`] can publish a freshly trained model
 //! under a momentary write lock while in-flight queries drain on the old
 //! epoch: no query ever observes a mix of two models, and the old epoch
-//! — including its bounds cache, which is keyed per epoch precisely so a
-//! stale [`OptimisticBounds`] cannot leak across a swap — is freed when
-//! the last in-flight pin drops. A swap revalidates the incoming model
-//! (estimator/container bin agreement, calibration finiteness, envelope
-//! monotonicity) and recomputes the certificate *before* publishing; a
-//! rejected snapshot ([`SwapError`]) leaves the serving epoch untouched,
-//! bit for bit. The live epoch id is surfaced through
-//! [`StatsSnapshot::epoch`].
+//! is freed when the last in-flight pin drops. A swap revalidates the
+//! incoming model (estimator/container bin agreement, calibration
+//! finiteness, envelope monotonicity) and recomputes the certificate
+//! *before* publishing; a rejected snapshot ([`SwapError`]) leaves the
+//! serving epoch untouched, bit for bit. The live epoch id is surfaced
+//! through [`StatsSnapshot::epoch`].
+//!
+//! The bounds cache is the one piece of derived state a swap keeps. An
+//! [`OptimisticBounds`] is a reverse Dijkstra over the graph weighted by
+//! each edge marginal's support start; no model input enters it, and
+//! [`RoutingEngine::swap_model`] builds the new epoch's cost oracle from
+//! the old epoch's graph and marginals (the same `Arc`s), so every cached
+//! bound is exactly what the new epoch would compute. Keeping the cache
+//! saves a swap-heavy workload one reverse Dijkstra per target per swap.
 //!
 //! ```no_run
 //! use srt_core::routing::{BatchExecutor, EngineBuilder, Query, RouterConfig};
@@ -705,6 +712,7 @@ impl EngineBuilder {
                 enabled: cfg.budget_gate,
             },
             bound: BoundPolicy { mode: cfg.bound },
+            bounds_cache: BoundedLru::new(),
             bounds_cache_capacity,
             contexts: Mutex::new(Vec::new()),
             counters: EngineStats::default(),
@@ -720,11 +728,9 @@ impl EngineBuilder {
 /// the engine's live pointer, which is what makes a swap invisible to
 /// in-flight searches (see the module-level *Hot swap* section).
 ///
-/// The per-target bounds cache lives *inside* the epoch: an
-/// [`OptimisticBounds`] is a function of `(target, cost oracle)`, so
-/// entries computed under one model would be silently wrong under the
-/// next. Keying the cache by epoch retires the whole cache with its
-/// model — a stale bound cannot leak across a swap by construction.
+/// The per-target bounds cache is not part of the epoch: it depends only
+/// on the graph and the marginals, which every epoch of one engine
+/// shares, so it lives on the [`RoutingEngine`] and survives swaps.
 pub struct ModelEpoch {
     /// Monotone epoch id: `0` at build, `+1` per successful swap.
     id: u64,
@@ -738,10 +744,6 @@ pub struct ModelEpoch {
     /// bound's denominator floor. Computed once per epoch, only for the
     /// envelope mode.
     min_out_span: Option<Vec<f64>>,
-    /// Target-keyed cache of the reverse optimistic-bound Dijkstra, with
-    /// LRU eviction at the engine's capacity ([`crate::sync::BoundedLru`],
-    /// model-checked by the `srt-check` LRU suite).
-    bounds_cache: BoundedLru<NodeId, Arc<OptimisticBounds>>,
 }
 
 impl ModelEpoch {
@@ -761,8 +763,9 @@ impl ModelEpoch {
         let envelope = (cfg.bound == BoundMode::CertifiedEnvelope)
             .then(|| cost.model().envelope.clone())
             .flatten();
-        // Only worth building when an envelope will consume it (legacy
-        // v1/v2 snapshots degrade to the certificate-only fallback).
+        // Only worth building when an envelope will consume it (a snapshot
+        // with its envelope flag at 0 degrades to the certificate-only
+        // fallback).
         let min_out_span = envelope.is_some().then(|| {
             let g = cost.graph();
             (0..g.num_nodes())
@@ -783,7 +786,6 @@ impl ModelEpoch {
             certificate,
             envelope,
             min_out_span,
-            bounds_cache: BoundedLru::new(),
         }
     }
 
@@ -815,7 +817,7 @@ impl ModelEpoch {
 }
 
 /// Typed rejection of a [`RoutingEngine::swap_model`] candidate. A
-/// rejected swap is a no-op: the serving epoch, its bounds cache and the
+/// rejected swap is a no-op: the serving epoch, the bounds cache and the
 /// epoch counter are untouched, and in-flight queries never notice.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SwapError {
@@ -864,7 +866,8 @@ impl std::error::Error for SwapError {}
 /// with prunings (a)–(d) — see [`crate::routing::budget`] for the
 /// algorithmic story and [`crate::routing::policy`] for each pruning
 /// mode's soundness contract. The engine adds the serving architecture:
-/// target-keyed caching of [`OptimisticBounds`] (inside the epoch),
+/// target-keyed caching of [`OptimisticBounds`] (engine-wide, kept across
+/// swaps),
 /// scratch reuse, batch dispatch, aggregated [`EngineStats`], and
 /// zero-downtime model replacement via [`RoutingEngine::swap_model`].
 pub struct RoutingEngine {
@@ -877,6 +880,12 @@ pub struct RoutingEngine {
     cfg: RouterConfig,
     gate: BudgetGate,
     bound: BoundPolicy,
+    /// Target-keyed cache of the reverse optimistic-bound Dijkstra, with
+    /// LRU eviction at `bounds_cache_capacity`
+    /// ([`crate::sync::BoundedLru`], model-checked by the `srt-check` LRU
+    /// suite). Shared by every epoch: see the module-level *Hot swap*
+    /// section for why no swap invalidates it.
+    bounds_cache: BoundedLru<NodeId, Arc<OptimisticBounds>>,
     bounds_cache_capacity: usize,
     /// Free list of warm [`SearchContext`]s serving
     /// [`RoutingEngine::route`] / [`BatchExecutor::execute`].
@@ -953,8 +962,10 @@ impl RoutingEngine {
     /// derived state (policy resolution, certificate recompute, envelope
     /// spans) is built *outside* the publication lock, so in-flight and
     /// concurrent queries keep serving the old epoch at full speed until
-    /// the one-pointer swap. On any [`SwapError`] the engine is
-    /// untouched: same epoch, same bounds cache, same answers.
+    /// the one-pointer swap. The engine's bounds cache is kept: it depends
+    /// only on the graph and the marginals, which the new epoch shares.
+    /// On any [`SwapError`] the engine is untouched: same epoch, same
+    /// bounds cache, same answers.
     pub fn swap_model(&self, model: crate::model::HybridModel) -> Result<u64, SwapError> {
         Self::revalidate(&model)?;
         let old = self.current_epoch();
@@ -976,8 +987,8 @@ impl RoutingEngine {
         Ok(id)
     }
 
-    /// [`RoutingEngine::swap_model`] from serialized snapshot bytes (any
-    /// supported version, v1–v3): decode failures come back as
+    /// [`RoutingEngine::swap_model`] from serialized snapshot bytes (only
+    /// version 3 decodes): decode failures come back as
     /// [`SwapError::Snapshot`], and the old epoch keeps serving.
     pub fn swap_model_bytes(&self, bytes: &[u8]) -> Result<u64, SwapError> {
         let model =
@@ -1093,19 +1104,19 @@ impl RoutingEngine {
             panic!("poisoning the context pool");
         }));
         self.epoch.poison_for_tests();
-        self.current_epoch().bounds_cache.poison_for_tests();
+        self.bounds_cache.poison_for_tests();
     }
 
-    /// Drops every cached per-target bound of the current epoch (useful
-    /// for cold-start measurements, or to bound memory on workloads with
-    /// unbounded target sets).
+    /// Drops every cached per-target bound (useful for cold-start
+    /// measurements, or to bound memory on workloads with unbounded
+    /// target sets).
     pub fn clear_bounds_cache(&self) {
-        self.current_epoch().bounds_cache.clear();
+        self.bounds_cache.clear();
     }
 
-    /// Number of distinct targets cached by the current epoch.
+    /// Number of distinct targets whose bounds the engine caches.
     pub fn bounds_cached(&self) -> usize {
-        self.current_epoch().bounds_cache.len()
+        self.bounds_cache.len()
     }
 
     /// Validates a query against this engine's graph and configuration.
@@ -1200,12 +1211,14 @@ impl RoutingEngine {
         }
     }
 
-    /// The per-target bounds of `epoch`, from its cache when warm. The
-    /// cache is LRU-bounded at the builder's capacity: hits refresh a
-    /// logical-use stamp under the read lock; an insert past capacity
-    /// evicts the stalest entries (and counts them).
+    /// The per-target bounds, from the engine's cache when warm. A miss
+    /// computes them over `epoch`'s graph and marginals, which are the
+    /// same for every epoch of this engine. The cache is LRU-bounded at
+    /// the builder's capacity: hits refresh a logical-use stamp under the
+    /// read lock; an insert past capacity evicts the stalest entries (and
+    /// counts them).
     fn bounds_for(&self, epoch: &ModelEpoch, target: NodeId) -> Arc<OptimisticBounds> {
-        if let Some(bounds) = epoch.bounds_cache.get(&target) {
+        if let Some(bounds) = self.bounds_cache.get(&target) {
             self.counters
                 .bounds_cache_hits
                 .fetch_add(1, AtomicOrdering::Relaxed);
@@ -1225,8 +1238,7 @@ impl RoutingEngine {
         // structural in the LRU and proven dead by the `srt-check` model
         // suite rather than stress-tested dead.
         let (result, evicted) =
-            epoch
-                .bounds_cache
+            self.bounds_cache
                 .insert_and_trim(target, bounds, self.bounds_cache_capacity);
         if evicted > 0 {
             self.counters

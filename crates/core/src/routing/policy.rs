@@ -442,7 +442,7 @@ pub fn uturn_free(g: &RoadGraph, vertex: NodeId, prev: NodeId) -> bool {
 ///
 /// 1. *Pair certificates*: for each consecutive edge pair `(e, e')`, the
 ///    gate classifier's interval bounds
-///    (`DependenceClassifier::prob_dependent_bounds`)
+///    ([`crate::model::DependenceClassifier::certifies_convolution`])
 ///    over all possible pre-distributions prove the gate picks
 ///    convolution, or fail to.
 /// 2. *Greatest fixpoint*: `all_conv[e]` holds iff every U-turn-free
@@ -451,6 +451,11 @@ pub fn uturn_free(g: &RoadGraph, vertex: NodeId, prev: NodeId) -> bool {
 ///    point (initialising everything to `true`), which conservatively
 ///    quantifies over unbounded walks — target- and budget-independent,
 ///    so one certificate serves every query against the cost oracle.
+///
+/// Coverage is thin on the synthetic worlds: [`ConvCertificate::num_certified`]
+/// reads 3 of 5 190 edges on the paper world and 0 of 680 on the small
+/// one, because almost every edge has some successor pair the gate's
+/// interval walk cannot settle.
 #[derive(Clone, Debug)]
 pub struct ConvCertificate {
     all_conv: Vec<bool>,
@@ -477,10 +482,57 @@ impl ConvCertificate {
     }
 
     /// Greatest fixpoint of the per-pair certificate over the edge graph.
+    ///
+    /// An edge with one uncertified successor pair is uncertified whatever
+    /// its other successors do, so its pairs are evaluated only up to the
+    /// first failure; the fixpoint loop then runs over the successor lists
+    /// of the edges whose every pair passed. On the paper world that is
+    /// 5 265 pair evaluations instead of 13 964, with the same result as
+    /// evaluating every pair first (a unit test pins the two equal).
     fn fixpoint(g: &RoadGraph, pair_certified: impl Fn(EdgeId, EdgeId) -> bool) -> Self {
         let ne = g.num_edges();
-        // Successor pairs with their (expensive) pair certificate, built
-        // once; the fixpoint loop below only reads booleans.
+        let mut all_conv = vec![true; ne];
+        // Successors of the edges whose every pair is certified (empty for
+        // the rest); the loop below only reads booleans.
+        let mut succs: Vec<Vec<usize>> = Vec::with_capacity(ne);
+        for e in g.edge_ids() {
+            let tail = g.edge_source(e);
+            let mut out = Vec::new();
+            for (e2, h2) in g.out_edges(g.edge_target(e)) {
+                if h2 == tail {
+                    continue; // the search never takes immediate U-turns
+                }
+                if !pair_certified(e, e2) {
+                    all_conv[e.index()] = false;
+                    out.clear();
+                    break;
+                }
+                out.push(e2.index());
+            }
+            succs.push(out);
+        }
+
+        loop {
+            let mut changed = false;
+            for (i, out) in succs.iter().enumerate() {
+                if all_conv[i] && !out.iter().all(|&j| all_conv[j]) {
+                    all_conv[i] = false;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        ConvCertificate { all_conv }
+    }
+
+    /// [`ConvCertificate::fixpoint`] without the early exit: every
+    /// successor pair evaluated, then the conjunction iterated to its
+    /// greatest fixpoint. The test reference.
+    #[cfg(test)]
+    fn fixpoint_full(g: &RoadGraph, pair_certified: impl Fn(EdgeId, EdgeId) -> bool) -> Self {
+        let ne = g.num_edges();
         let mut succs: Vec<Vec<(usize, bool)>> = Vec::with_capacity(ne);
         for e in g.edge_ids() {
             let tail = g.edge_source(e);
@@ -488,7 +540,7 @@ impl ConvCertificate {
             let mut out = Vec::new();
             for (e2, h2) in g.out_edges(head) {
                 if h2 == tail {
-                    continue; // the search never takes immediate U-turns
+                    continue;
                 }
                 out.push((e2.index(), pair_certified(e, e2)));
             }
@@ -896,6 +948,169 @@ mod tests {
             let has_continuation = world.graph.out_edges(head).any(|(_, h)| h != tail);
             assert_eq!(cert.certified(e), !has_continuation, "edge {e:?}");
         }
+    }
+
+    /// The early-exit fixpoint against the retained full evaluation, edge
+    /// by edge: on the tiny and small worlds and the oracle suite's four
+    /// scenario-matrix topologies, under the fixture's gate at its trained
+    /// threshold and at raised ones. The trained gate certifies almost
+    /// nothing, so the raised thresholds are what make pairs pass and the
+    /// fixpoint propagate; the test requires that somewhere an edge whose
+    /// own pairs all pass is still uncertified through a successor. (These
+    /// networks are strongly connected, so each certificate comes out all
+    /// or nothing; the next test covers partial ones.)
+    #[test]
+    fn early_exit_certificate_equals_the_full_evaluation() {
+        use srt_synth::{
+            CongestionConfig, GroundTruthConfig, NetworkConfig, Topology, TrajectoryConfig,
+        };
+        use std::cell::Cell;
+
+        let (tiny, model) = fixture();
+        let scenario = |network: NetworkConfig, congestion: CongestionConfig| {
+            SyntheticWorld::build(WorldConfig {
+                network,
+                congestion,
+                trajectories: TrajectoryConfig {
+                    num_trips: 150,
+                    num_sources: 8,
+                    ..TrajectoryConfig::default()
+                },
+                ground_truth: GroundTruthConfig {
+                    samples_per_edge: 150,
+                    samples_per_pair: 150,
+                    ..GroundTruthConfig::default()
+                },
+            })
+        };
+        let grid = |seed, width, height| NetworkConfig {
+            width,
+            height,
+            thinning: 0.0,
+            seed,
+            ..NetworkConfig::default()
+        };
+        let wheel = NetworkConfig {
+            topology: Topology::HubAndSpoke {
+                hubs: 3,
+                spokes: 2,
+                spoke_len: 2,
+            },
+            thinning: 0.0,
+            seed: 31,
+            ..NetworkConfig::default()
+        };
+        let small = SyntheticWorld::build(WorldConfig::small());
+        let others = [
+            scenario(grid(11, 4, 3), CongestionConfig::default()),
+            scenario(grid(23, 3, 4), CongestionConfig::default()),
+            scenario(wheel, CongestionConfig::default()),
+            scenario(grid(47, 3, 4), CongestionConfig::heavy_tailed()),
+        ];
+
+        let (mut propagated, mut pruned_evals) = (0, 0);
+        for world in std::iter::once(tiny).chain([&small]).chain(&others) {
+            let g = &world.graph;
+            for threshold in [model.classifier.threshold, 0.7, 0.85, 1.01] {
+                let mut gated = model.clone();
+                gated.classifier.threshold = threshold;
+                let cost = HybridCost::from_ground_truth(world, &gated, CombinePolicy::Hybrid);
+                let pair = |e, e2| {
+                    let partial = pair_features_partial(g, e, e2, cost.marginal(e2));
+                    gated.classifier.certifies_convolution(&partial)
+                };
+                let (early_evals, full_evals) = (Cell::new(0), Cell::new(0));
+                let early = ConvCertificate::fixpoint(g, |e, e2| {
+                    early_evals.set(early_evals.get() + 1);
+                    pair(e, e2)
+                });
+                let full = ConvCertificate::fixpoint_full(g, |e, e2| {
+                    full_evals.set(full_evals.get() + 1);
+                    pair(e, e2)
+                });
+                assert_eq!(early.all_conv, ConvCertificate::compute(&cost).all_conv);
+                for e in g.edge_ids() {
+                    assert_eq!(
+                        early.certified(e),
+                        full.certified(e),
+                        "edge {e:?} @ {threshold}"
+                    );
+                    let tail = g.edge_source(e);
+                    let own_pairs_pass = g
+                        .out_edges(g.edge_target(e))
+                        .all(|(e2, h2)| h2 == tail || pair(e, e2));
+                    if own_pairs_pass && !full.certified(e) {
+                        propagated += 1;
+                    }
+                }
+                assert!(early_evals.get() <= full_evals.get());
+                pruned_evals += full_evals.get() - early_evals.get();
+            }
+        }
+        assert!(
+            propagated > 0,
+            "no edge is uncertified through its successors alone"
+        );
+        assert!(pruned_evals > 0, "the early exit never skipped a pair");
+    }
+
+    /// The two fixpoints on a hand-built graph that is not strongly
+    /// connected — a cycle, a two-way spur, and one-way branches into
+    /// dead ends — under every one of the 2^9 tables of its nine
+    /// successor-pair certificates, so partial certificates occur.
+    #[test]
+    fn early_exit_fixpoint_equals_the_full_evaluation_on_every_pair_table() {
+        use srt_graph::{EdgeAttrs, GraphBuilder, Point, RoadCategory};
+
+        // 0 -> 1 -> 2 -> 5 -> 0 is the cycle, 1 <-> 4 the spur, and
+        // 2 -> 3 and 2 -> 6 -> 7 the one-way branches into dead ends.
+        let mut b = GraphBuilder::new();
+        let n: Vec<NodeId> = (0..8)
+            .map(|i| b.add_node(Point::new(10.0 + 0.01 * f64::from(i), 56.0)))
+            .collect();
+        let attrs = EdgeAttrs::new(500.0, RoadCategory::Residential, 50.0);
+        for (u, v) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (1, 4),
+            (4, 1),
+            (2, 5),
+            (5, 0),
+            (2, 6),
+            (6, 7),
+        ] {
+            b.add_edge(n[u], n[v], attrs);
+        }
+        let g = b.build();
+        let mut pairs = Vec::new();
+        for e in g.edge_ids() {
+            let tail = g.edge_source(e);
+            for (e2, h2) in g.out_edges(g.edge_target(e)) {
+                if h2 != tail {
+                    pairs.push((e, e2));
+                }
+            }
+        }
+        assert_eq!(pairs.len(), 9);
+
+        let mut partial = 0;
+        for table in 0u32..1 << pairs.len() {
+            let pair = |e, e2| {
+                let i = pairs
+                    .iter()
+                    .position(|&p| p == (e, e2))
+                    .expect("a successor pair");
+                table >> i & 1 == 1
+            };
+            let early = ConvCertificate::fixpoint(&g, pair);
+            let full = ConvCertificate::fixpoint_full(&g, pair);
+            assert_eq!(early.all_conv, full.all_conv, "pair table {table:#011b}");
+            if (1..early.len()).contains(&early.num_certified()) {
+                partial += 1;
+            }
+        }
+        assert!(partial > 0);
     }
 
     #[test]

@@ -337,13 +337,56 @@ impl RandomForestClassifier {
         acc / self.trees.len() as f64
     }
 
-    /// Mean class-probability *bounds* across trees for a partially-known
-    /// feature row (`None` = the feature may take any value). Each tree
-    /// contributes its tight per-tree bounds
-    /// ([`ClassificationTree::predict_proba_bounds_row`]); the average of
-    /// per-tree minima / maxima bounds the forest mean, since the unknown
+    /// Whether the mean upper bound on the probability of `class` across
+    /// trees, for a partially-known feature row (`None` = the feature may
+    /// take any value), stays below `threshold`. Each tree contributes its
+    /// tight per-tree maximum ([`ClassificationTree::proba_upper`]); their
+    /// average bounds the forest mean from above, since the unknown
     /// features take one common value across trees.
-    pub fn predict_proba_bounds_row(&self, features: &[Option<f64>]) -> (Vec<f64>, Vec<f64>) {
+    ///
+    /// Allocation-free, and it stops at the first tree whose running sum
+    /// divided by the tree count already reaches `threshold`. That is
+    /// exact: leaf values are non-negative (the snapshot decoder refuses
+    /// anything else), so the partial sums in the fixed tree order never
+    /// decrease, and the answer equals
+    /// `predict_proba_bounds_row(features).1[class] < threshold` (the
+    /// test reference) bit for bit.
+    ///
+    /// # Panics
+    /// Panics on a feature-count mismatch or `class >= n_classes`
+    /// (programming errors).
+    pub fn proba_upper_below(
+        &self,
+        features: &[Option<f64>],
+        class: usize,
+        threshold: f64,
+    ) -> bool {
+        assert_eq!(
+            features.len(),
+            self.n_features,
+            "feature count mismatch in RandomForestClassifier::proba_upper_below"
+        );
+        assert!(class < self.n_classes, "class out of range");
+        let k = self.trees.len() as f64;
+        let mut acc = 0.0;
+        for t in &self.trees {
+            acc += t.proba_upper(features, class);
+            if acc / k >= threshold {
+                return false;
+            }
+        }
+        acc / k < threshold
+    }
+
+    /// Mean class-probability *bounds* across trees: the average of the
+    /// per-tree minima / maxima of every class. The full computation that
+    /// [`RandomForestClassifier::proba_upper_below`] decides one
+    /// comparison of, kept as its test reference.
+    #[cfg(test)]
+    pub(crate) fn predict_proba_bounds_row(
+        &self,
+        features: &[Option<f64>],
+    ) -> (Vec<f64>, Vec<f64>) {
         let mut lo = vec![0.0; self.n_classes];
         let mut hi = vec![0.0; self.n_classes];
         for t in &self.trees {
@@ -615,8 +658,81 @@ mod tests {
         // unknown feature.
         let (_, hi) = f.predict_proba_bounds_row(&[Some(2.0), None]);
         assert!(hi[1] < 0.5, "x=2 should certify class 0, got hi {}", hi[1]);
+        assert!(f.proba_upper_below(&[Some(2.0), None], 1, 0.5));
+        assert!(!f.proba_upper_below(&[Some(58.0), None], 1, 0.5));
         let (lo, _) = f.predict_proba_bounds_row(&[Some(58.0), None]);
         assert!(lo[1] > 0.5, "x=58 should certify class 1, got lo {}", lo[1]);
+    }
+
+    /// The early exit against the retained full interval walk: over
+    /// seeded random forests (one to thirteen trees, two or three
+    /// classes) and random partial rows (all-`None` rows included),
+    /// `proba_upper_below` must equal `reference_hi[class] < threshold`
+    /// for random thresholds and for thresholds landing exactly on every
+    /// running per-tree sum (and one ulp either side), and each tree's
+    /// `proba_upper` must equal its reference upper bound bit for bit.
+    #[test]
+    fn early_exit_upper_bound_matches_the_full_interval_walk() {
+        let mut checked = 0usize;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0xB0_0D5 ^ seed);
+            let n_features = rng.gen_range(1..5usize);
+            let n_classes = rng.gen_range(2..4usize);
+            let n_rows = rng.gen_range(20..80usize);
+            let mut rows = Vec::with_capacity(n_rows);
+            let mut labels = Vec::with_capacity(n_rows);
+            for _ in 0..n_rows {
+                let row: Vec<f64> = (0..n_features).map(|_| rng.gen_range(0.0..10.0)).collect();
+                // A noisy rule on the first feature, so trees split.
+                let rule = ((row[0] / 10.0) * n_classes as f64) as usize;
+                labels.push(if rng.gen_bool(0.2) {
+                    rng.gen_range(0..n_classes)
+                } else {
+                    rule
+                });
+                rows.push(row);
+            }
+            let x = Matrix::from_rows(&rows).unwrap();
+            let n_trees = [1, 2, 5, 13][seed as usize % 4];
+            let cfg = ForestConfig {
+                n_trees,
+                tree: TreeConfig {
+                    max_depth: rng.gen_range(1..7usize),
+                    ..TreeConfig::default()
+                },
+                ..ForestConfig::default()
+            };
+            let forest = RandomForestClassifier::fit(&x, &labels, n_classes, &cfg, seed).unwrap();
+            let k = forest.trees.len() as f64;
+
+            for r in 0..30 {
+                let row: Vec<Option<f64>> = (0..n_features)
+                    .map(|_| (r > 0 && rng.gen_bool(0.6)).then(|| rng.gen_range(-1.0..11.0)))
+                    .collect();
+                let (_, hi) = forest.predict_proba_bounds_row(&row);
+                for class in 0..n_classes {
+                    let mut thresholds = vec![rng.gen::<f64>(), 0.0, 1.0, hi[class]];
+                    let mut acc = 0.0;
+                    for t in &forest.trees {
+                        let upper = t.proba_upper(&row, class);
+                        let (_, tree_hi) = t.predict_proba_bounds_row(&row);
+                        assert_eq!(upper.to_bits(), tree_hi[class].to_bits());
+                        acc += upper;
+                        let partial = acc / k;
+                        thresholds.extend([partial.next_down(), partial, partial.next_up()]);
+                    }
+                    for threshold in thresholds {
+                        assert_eq!(
+                            forest.proba_upper_below(&row, class, threshold),
+                            hi[class] < threshold,
+                            "seed {seed} row {row:?} class {class} threshold {threshold}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} decisions checked");
     }
 
     #[test]

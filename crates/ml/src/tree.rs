@@ -176,6 +176,25 @@ fn walk_bounds(nodes: &[TreeNode], features: &[Option<f64>], lo: &mut [f64], hi:
     rec(nodes, 0, features, lo, hi);
 }
 
+/// [`walk_bounds`] for one output's upper end: folds the `class` value of
+/// every reachable leaf into `hi` with `f64::max`, in the same order, so
+/// the result equals `walk_bounds`'s `hi[class]` bit for bit.
+fn walk_upper(nodes: &[TreeNode], at: u32, features: &[Option<f64>], class: usize, hi: &mut f64) {
+    let node = &nodes[at as usize];
+    if node.is_leaf() {
+        *hi = hi.max(node.value[class]);
+        return;
+    }
+    match features[node.feature as usize] {
+        Some(x) if x <= node.threshold => walk_upper(nodes, node.left, features, class, hi),
+        Some(_) => walk_upper(nodes, node.right, features, class, hi),
+        None => {
+            walk_upper(nodes, node.left, features, class, hi);
+            walk_upper(nodes, node.right, features, class, hi);
+        }
+    }
+}
+
 /// Chooses the candidate features for one split.
 fn candidate_features<R: Rng>(n_features: usize, cfg: &TreeConfig, rng: &mut R) -> Vec<usize> {
     match cfg.max_features {
@@ -692,11 +711,11 @@ impl ClassificationTree {
         me
     }
 
-    /// Class-probability *bounds* for a partially-known feature row:
-    /// element-wise `(min, max)` over every leaf reachable when the `None`
-    /// features are allowed to take any value. The bounds are tight per
+    /// Upper bound on the probability of `class` for a partially-known
+    /// feature row: the largest `class` value over every leaf reachable
+    /// when the `None` features are allowed to take any value. Tight per
     /// tree (each reachable leaf is realized by some completion of the
-    /// unknown features).
+    /// unknown features), and allocation-free.
     ///
     /// This powers the router's convolution certificate: with only the
     /// pre-distribution features unknown, an upper bound on
@@ -704,8 +723,29 @@ impl ClassificationTree {
     /// picks convolution for *every* possible path prefix.
     ///
     /// # Panics
-    /// Panics if `features.len() != n_features` (programming error).
-    pub fn predict_proba_bounds_row(&self, features: &[Option<f64>]) -> (Vec<f64>, Vec<f64>) {
+    /// Panics if `features.len() != n_features` or `class >= n_classes`
+    /// (programming errors).
+    pub fn proba_upper(&self, features: &[Option<f64>], class: usize) -> f64 {
+        assert_eq!(
+            features.len(),
+            self.n_features,
+            "feature count mismatch in ClassificationTree::proba_upper"
+        );
+        assert!(class < self.n_classes, "class out of range");
+        let mut hi = f64::NEG_INFINITY;
+        walk_upper(&self.nodes, 0, features, class, &mut hi);
+        hi
+    }
+
+    /// Element-wise `(min, max)` class-probability bounds over every
+    /// reachable leaf: the full interval walk that
+    /// [`ClassificationTree::proba_upper`] narrows to one class's upper
+    /// end, kept as its test reference.
+    #[cfg(test)]
+    pub(crate) fn predict_proba_bounds_row(
+        &self,
+        features: &[Option<f64>],
+    ) -> (Vec<f64>, Vec<f64>) {
         assert_eq!(
             features.len(),
             self.n_features,
@@ -771,6 +811,14 @@ impl ClassificationTree {
                 return Err(MlError::Corrupt(format!(
                     "node {i} carries {} class frequencies, expected {n_classes}",
                     node.value.len()
+                )));
+            }
+            // Frequencies are finite and non-negative; the forest's
+            // early-exit bound test relies on it (partial sums of leaf
+            // values never decrease).
+            if let Some(v) = node.value.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
+                return Err(MlError::Corrupt(format!(
+                    "node {i} carries class frequency {v}"
                 )));
             }
         }
@@ -1000,6 +1048,47 @@ mod tests {
         let (lo, hi) = t.predict_proba_bounds_row(&[None, None]);
         assert!(lo[1] <= 0.0 + 1e-12 && hi[1] >= 1.0 - 1e-12);
         assert!(lo.iter().chain(hi.iter()).all(|p| (0.0..=1.0).contains(p)));
+
+        // The one-class upper walk is the reference's upper end, bit for
+        // bit, on every row above.
+        for row in [
+            [Some(0.0), Some(0.0)],
+            [Some(1.0), Some(1.0)],
+            [Some(1.0), Some(0.0)],
+            [Some(0.0), None],
+            [Some(1.0), None],
+            [None, None],
+        ] {
+            let (_, hi) = t.predict_proba_bounds_row(&row);
+            for (c, h) in hi.iter().enumerate() {
+                assert_eq!(t.proba_upper(&row, c).to_bits(), h.to_bits(), "{row:?}");
+            }
+        }
+    }
+
+    /// The decoder refuses a negative or non-finite class frequency: the
+    /// forest's early-exit upper bound is exact only for non-negative
+    /// leaf values.
+    #[test]
+    fn classification_tree_decode_rejects_negative_and_nan_frequencies() {
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0], vec![11.0]]).unwrap();
+        let t = ClassificationTree::fit(&x, &[0, 0, 1, 1], 2, &TreeConfig::default(), &mut rng())
+            .unwrap();
+        let decode = |tree: &ClassificationTree| {
+            let mut buf = BytesMut::new();
+            tree.write_bytes(&mut buf);
+            ClassificationTree::read_bytes(&mut &buf[..])
+        };
+        assert!(decode(&t).is_ok());
+        for bad in [-0.25, f64::NAN, f64::INFINITY] {
+            let mut corrupt = t.clone();
+            let leaf = corrupt.nodes.iter().position(TreeNode::is_leaf).unwrap();
+            corrupt.nodes[leaf].value[1] = bad;
+            assert!(
+                matches!(decode(&corrupt), Err(MlError::Corrupt(_))),
+                "frequency {bad} decoded"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //!   straddle one: the epoch is pinned once per batch, so *all* results
 //!   of a batch are bitwise-identical to the old epoch's answers or all
 //!   to the new one's — never a mix, let alone a hybrid answer,
-//! * **isolation** — the bounds cache is epoch-keyed, so a swap can
-//!   never serve `OptimisticBounds` computed under the previous model,
+//! * **isolation** — everything model-derived is rebuilt per epoch; the
+//!   one thing a swap keeps, the engine's per-target bounds cache,
+//!   depends only on the graph and the marginals every epoch shares, so
+//!   a swap neither empties it nor misses on a target already cached,
+//!   and the answers it serves stay bitwise-identical to a fresh engine
+//!   over the new model,
 //! * **rejection** — corrupt snapshots, bins mismatches and non-finite
 //!   calibration are refused with a typed [`SwapError`] while the old
 //!   epoch keeps serving bitwise-unchanged,
@@ -124,7 +128,7 @@ fn swapped_engine_is_bitwise_identical_to_a_fresh_one() {
 
     let engine = engine_over(model_a);
     assert_eq!(engine.epoch(), 0);
-    // Warm the epoch-0 bounds cache so the swap has stale state to shed.
+    // Warm the bounds cache under model A.
     for (i, q) in queries.iter().enumerate() {
         assert_identical(
             &engine.route(q).unwrap(),
@@ -132,20 +136,19 @@ fn swapped_engine_is_bitwise_identical_to_a_fresh_one() {
             &format!("pre-swap {i}"),
         );
     }
-    assert!(engine.bounds_cached() > 0);
+    let cached = engine.bounds_cached();
+    assert!(cached > 0);
 
     let epoch = engine
         .swap_model(model_b.clone())
         .expect("valid model swaps");
     assert_eq!(epoch, 1);
     assert_eq!(engine.epoch(), 1);
-    // The per-target bounds cache died with epoch 0: nothing computed
-    // under model A may bound model B's searches.
-    assert_eq!(
-        engine.bounds_cached(),
-        0,
-        "stale bounds leaked across the swap"
-    );
+    // The bounds are a function of the graph and the marginals, which
+    // model B's epoch shares: the swap keeps every cached target, and
+    // serving the same targets again computes no bound at all.
+    assert_eq!(engine.bounds_cached(), cached, "the swap emptied the cache");
+    let misses = engine.stats().bounds_cache_misses;
     for (i, q) in queries.iter().enumerate() {
         assert_identical(
             &engine.route(q).unwrap(),
@@ -153,6 +156,11 @@ fn swapped_engine_is_bitwise_identical_to_a_fresh_one() {
             &format!("post-swap {i}"),
         );
     }
+    assert_eq!(
+        engine.stats().bounds_cache_misses,
+        misses,
+        "a target cached before the swap missed after it"
+    );
 
     // Swapping back restores model A bit-for-bit.
     assert_eq!(engine.swap_model(model_a.clone()), Ok(2));
